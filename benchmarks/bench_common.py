@@ -28,7 +28,12 @@ Conventions:
 from __future__ import annotations
 
 import os
+import platform
+import statistics
+import subprocess
 from pathlib import Path
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -46,3 +51,35 @@ def save_result(results_dir: Path, name: str, text: str) -> Path:
     path = results_dir / name
     path.write_text(text + "\n")
     return path
+
+
+def spread(samples: list[float]) -> dict[str, float]:
+    """Median, min and interquartile range of repeated timings (seconds)."""
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median_s": statistics.median(samples),
+        "min_s": min(samples),
+        "iqr_s": q3 - q1,
+    }
+
+
+def bench_meta(repeats: int) -> dict[str, object]:
+    """Provenance of a trajectory document: what it was measured on (the
+    commit, suffixed ``-dirty`` when the checkout had uncommitted edits)."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=RESULTS_DIR.parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
+    }

@@ -32,6 +32,41 @@ from .schedule import Action, Schedule
 __all__ = ["optimize_single_level"]
 
 
+def _verif_table(F: PairFactors) -> tuple[np.ndarray, np.ndarray]:
+    """``Everif1[d1, v2]`` and its argmins, built ``v2`` ascending with every
+    ``d1 < v2`` at once.
+
+    Bitwise equal to one ``d1`` at a time: the same operations in the same
+    order, and the same first-index argmin on each row's feasible slice.
+    """
+    n = F.n
+    everif1 = np.full((n + 1, n + 1), np.inf)
+    arg_verif = np.full((n + 1, n + 1), -1, dtype=np.int32)
+    d1s = np.arange(n + 1)
+    everif1[d1s, d1s] = 0.0
+    K1 = F.costs.RD[:, None]  # E_mem(d1, d1) = 0
+    rm = F.costs.RM[:, None]  # the memory rollback target is the disk ckpt
+    infeasible = np.tri(n + 1, k=-1, dtype=bool)  # [d1, v1] with v1 < d1
+
+    # Entries left of a row's d1 are computed, then discarded as inf.
+    with np.errstate(invalid="ignore"):
+        for v2 in range(1, n + 1):
+            row = everif1[:v2, :v2]  # [d1, v1]
+            cand = (
+                row
+                + F.base_g[:v2, v2]
+                + F.cK1[:v2, v2] * K1[:v2]
+                + F.etm1[:v2, v2] * row
+                + F.esm1[:v2, v2] * rm[:v2]
+            )
+            np.copyto(cand, np.inf, where=infeasible[:v2, :v2])
+            # An all-inf row resolves to its first feasible entry, d1.
+            k = np.maximum(cand.argmin(axis=1), d1s[:v2])
+            everif1[:v2, v2] = cand[d1s[:v2], k]
+            arg_verif[:v2, v2] = k
+    return everif1, arg_verif
+
+
 def optimize_single_level(
     chain: TaskChain,
     platform: Platform,
@@ -47,27 +82,7 @@ def optimize_single_level(
     F = PairFactors(chain, platform, costs)
     CM, CD = F.costs.CM, F.costs.CD
 
-    # everif1[d1, v2] and its argmin table.
-    everif1 = np.full((n + 1, n + 1), np.inf)
-    arg_verif = np.full((n + 1, n + 1), -1, dtype=np.int32)
-
-    for d1 in range(n + 1):
-        K1 = F.rd_eff(d1)  # E_mem(d1, d1) = 0
-        rm = F.rm_eff(d1)  # the memory rollback target is the disk ckpt
-        row = everif1[d1]
-        row[d1] = 0.0
-        for v2 in range(d1 + 1, n + 1):
-            lo = d1
-            cand = (
-                row[lo:v2]
-                + F.base_g[lo:v2, v2]
-                + F.cK1[lo:v2, v2] * K1
-                + F.etm1[lo:v2, v2] * row[lo:v2]
-                + F.esm1[lo:v2, v2] * rm
-            )
-            k = int(np.argmin(cand))
-            row[v2] = float(cand[k])
-            arg_verif[d1, v2] = lo + k
+    everif1, arg_verif = _verif_table(F)
 
     Edisk = np.full(n + 1, np.inf)
     arg_disk = np.full(n + 1, -1, dtype=np.int32)

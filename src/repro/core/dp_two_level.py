@@ -27,10 +27,15 @@ verification, a memory checkpoint and a disk checkpoint.
 
 Implementation notes
 --------------------
-All candidate evaluations are numpy slice expressions over the
-:class:`~repro.core.factors.PairFactors` matrices, so the loop nest is
-``O(n^3)`` vectorized minima for ``O(n^4)`` scalar work.  Argmin tables are
-kept (``int32``) for exact schedule extraction.
+The outer disk and memory recurrences live in
+:mod:`~repro.core.dp_outer`, which runs ``m1`` ascending and asks this
+module for the rows ``E_verif(d1, m1, .)`` of every ``d1 <= m1`` at once.
+:func:`_verif_rows` walks ``v2`` ascending with ``d1`` as the array axis,
+so a solve makes ``O(n^2)`` vectorized minima for ``O(n^4)`` scalar work.
+Each candidate keeps the operation order of the one-pair-at-a-time loop,
+so values and argmins are bitwise identical to it; that loop lives in the
+test suite as the oracle.  Argmin tables are kept (``int32``) for exact
+schedule extraction.
 """
 
 from __future__ import annotations
@@ -38,45 +43,52 @@ from __future__ import annotations
 import numpy as np
 
 from ..chains import TaskChain
-from ..exceptions import SolverError
+from ..obs import metrics as _metrics
 from ..platforms import Platform
 from .costs import CostProfile
+from .dp_outer import disk_pass, memory_pass, phase, walk_intervals
 from .factors import PairFactors
 from .result import Solution
-from .schedule import Action, Schedule
+from .schedule import Schedule
 
 __all__ = ["optimize_two_level"]
 
 
-def _verif_row(
-    F: PairFactors, d1: int, m1: int, emem_d1m1: float
+def _verif_rows(
+    F: PairFactors, m1: int, K1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compute ``E_verif(d1, m1, v2)`` for all ``v2`` in ``[m1, n]``.
+    """``E_verif(d1, m1, v2)`` for every ``d1 <= m1`` and ``v2`` in ``[m1, n]``.
 
-    Returns ``(row, arg)`` where ``row[v2]`` is the expected time to execute
-    and verify tasks ``T_{m1+1} .. T_{v2}`` (last memory checkpoint after
-    ``T_{m1}``, last disk checkpoint after ``T_{d1}``) and ``arg[v2]`` the
-    optimal previous verification position.
+    ``K1[d1] = R_D(d1) + E_mem(d1, m1)``.  Returns ``(rows, args)`` shaped
+    ``(m1+1, n+1-m1)``: column ``j`` is ``v2 = m1 + j``, ``rows`` the
+    expected time to execute and verify ``T_{m1+1} .. T_{v2}`` and
+    ``args`` the optimal previous verification position.
     """
     n = F.n
-    K1 = F.rd_eff(d1) + emem_d1m1
-    rm = F.rm_eff(m1)
-    row = np.full(n + 1, np.inf)
-    arg = np.full(n + 1, -1, dtype=np.int32)
-    row[m1] = 0.0
-    for v2 in range(m1 + 1, n + 1):
-        lo = m1
+    width = n + 1 - m1
+    tail = slice(m1, n + 1)
+    # Candidate terms that do not depend on E_verif(v1): [d1, v1, v2], [v1, v2].
+    fixed = F.cK1[tail, tail] * K1[:, None, None]
+    recover = F.esm1[tail, tail] * F.rm_eff(m1)
+    rows = np.full((K1.size, width), np.inf)
+    args = np.full((K1.size, width), -1, dtype=np.int32)
+    rows[:, 0] = 0.0
+    picked = np.arange(K1.size)
+    for j in range(1, width):
+        v2 = m1 + j
+        prev = rows[:, :j]
         cand = (
-            row[lo:v2]
-            + F.base_g[lo:v2, v2]
-            + F.cK1[lo:v2, v2] * K1
-            + F.etm1[lo:v2, v2] * row[lo:v2]
-            + F.esm1[lo:v2, v2] * rm
+            prev
+            + F.base_g[m1:v2, v2]
+            + fixed[:, :j, j]
+            + F.etm1[m1:v2, v2] * prev
+            + recover[:j, j]
         )
-        k = int(np.argmin(cand))
-        row[v2] = float(cand[k])
-        arg[v2] = lo + k
-    return row, arg
+        k = cand.argmin(axis=1)
+        rows[:, j] = cand[picked, k]
+        args[:, j] = k
+    args[:, 1:] += m1
+    return rows, args
 
 
 def optimize_two_level(
@@ -91,90 +103,23 @@ def optimize_two_level(
     cost position-dependent (see :class:`~repro.core.costs.CostProfile`);
     the default reproduces the paper's uniform model.
     """
-    n = chain.n
-    F = PairFactors(chain, platform, costs)
-    CM, CD = F.costs.CM, F.costs.CD
-
-    # Emem[d1, m2]; arg_mem[d1, m2] = optimal previous memory position m1.
-    Emem = np.full((n + 1, n + 1), np.inf)
-    arg_mem = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    # arg_verif[d1, m1, v2] = optimal previous verification position v1.
-    arg_verif = np.full((n + 1, n + 1, n + 1), -1, dtype=np.int32)
-
-    for d1 in range(n + 1):
-        # ev[m1, v2] = E_verif(d1, m1, v2) for this d1.
-        ev = np.full((n + 1, n + 1), np.inf)
-        Emem[d1, d1] = 0.0
-        for m1 in range(d1, n + 1):
-            if m1 > d1:
-                cand = Emem[d1, d1:m1] + ev[d1:m1, m1] + CM[m1]
-                k = int(np.argmin(cand))
-                Emem[d1, m1] = float(cand[k])
-                arg_mem[d1, m1] = d1 + k
-            row, arg = _verif_row(F, d1, m1, float(Emem[d1, m1]))
-            ev[m1, :] = row
-            arg_verif[d1, m1, :] = arg
-
-    Edisk = np.full(n + 1, np.inf)
-    arg_disk = np.full(n + 1, -1, dtype=np.int32)
-    Edisk[0] = 0.0
-    for d2 in range(1, n + 1):
-        cand = Edisk[:d2] + Emem[:d2, d2] + CD[d2]
-        k = int(np.argmin(cand))
-        Edisk[d2] = float(cand[k])
-        arg_disk[d2] = k
-
-    schedule = _extract_schedule(n, arg_disk, arg_mem, arg_verif)
+    reg = _metrics()
+    with phase(reg, "factors"):
+        F = PairFactors(chain, platform, costs)
+    with phase(reg, "forward"):
+        Emem, arg_mem, arg_verif = memory_pass(
+            F, lambda m1, K1: _verif_rows(F, m1, K1)
+        )
+        Edisk, arg_disk = disk_pass(Emem, F.costs.CD)
+    with phase(reg, "backtrack"):
+        levels = np.zeros(chain.n, dtype=np.int8)
+        for _ in walk_intervals(levels, arg_disk, arg_mem, arg_verif):
+            pass
     return Solution(
         algorithm="admv_star",
         chain=chain,
         platform=platform,
-        expected_time=float(Edisk[n]),
-        schedule=schedule,
+        expected_time=float(Edisk[chain.n]),
+        schedule=Schedule(levels),
         diagnostics={"Edisk": Edisk, "Emem": Emem},
     )
-
-
-def _extract_schedule(
-    n: int,
-    arg_disk: np.ndarray,
-    arg_mem: np.ndarray,
-    arg_verif: np.ndarray,
-) -> Schedule:
-    """Backtrack the argmin tables into an explicit :class:`Schedule`."""
-    levels = np.zeros(n, dtype=np.int8)
-
-    d2 = n
-    while d2 > 0:
-        d1 = int(arg_disk[d2])
-        if d1 < 0 or d1 >= d2:
-            raise SolverError(f"inconsistent disk backtrack at d2={d2}: {d1}")
-        levels[d2 - 1] = int(Action.DISK)
-        # memory checkpoints within (d1, d2]
-        m2 = d2
-        while m2 > d1:
-            m1 = int(arg_mem[d1, m2]) if m2 != d1 else d1
-            if m2 == d2:
-                pass  # level already DISK
-            else:
-                levels[m2 - 1] = max(levels[m2 - 1], int(Action.MEMORY))
-            if m2 > d1 and m1 < 0:
-                raise SolverError(
-                    f"inconsistent memory backtrack at (d1={d1}, m2={m2})"
-                )
-            # guaranteed verifications within (m1, m2)
-            v2 = m2
-            while v2 > m1:
-                v1 = int(arg_verif[d1, m1, v2])
-                if v1 < 0 or v1 >= v2:
-                    raise SolverError(
-                        f"inconsistent verification backtrack at "
-                        f"(d1={d1}, m1={m1}, v2={v2})"
-                    )
-                if v2 not in (m2,):
-                    levels[v2 - 1] = max(levels[v2 - 1], int(Action.VERIFY))
-                v2 = v1
-            m2 = m1
-        d2 = d1
-
-    return Schedule(levels)

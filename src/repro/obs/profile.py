@@ -2,9 +2,10 @@
 
 :func:`build_profile` distils a :class:`~.registry.MetricsSnapshot`
 (plus, when available, the trace timeline) into the profile document the
-CLI emits: DP solve counts per algorithm, memo hit rates per cache
-layer, search move acceptance, batched-kernel throughput, the adaptive
-Monte-Carlo round trajectory, and per-span-name wall-time aggregates.
+CLI emits: DP solve counts per algorithm and seconds per solve phase,
+memo hit rates per cache layer, search move acceptance, batched-kernel
+throughput, the adaptive Monte-Carlo round trajectory, and
+per-span-name wall-time aggregates.
 :func:`render_profile` turns that document into the text report printed
 after a ``--profile`` run; the raw JSON goes to ``--profile-out``.
 
@@ -34,6 +35,11 @@ CACHE_LAYERS: dict[str, tuple[str, str]] = {
 }
 
 
+#: Phases of an exact-DP solve, each timed as ``dp.<phase>``: the factor
+#: matrices, the forward recurrences, the schedule backtrack.
+DP_PHASES = ("factors", "forward", "backtrack")
+
+
 def build_profile(
     snapshot: MetricsSnapshot,
     tracer: Tracer | None = None,
@@ -58,6 +64,13 @@ def build_profile(
     dp_timer = snapshot.timers.get("dp.solve")
     if dp_timer is not None:
         dp["seconds"] = dp_timer.total
+    phases = {
+        name: snapshot.timers[f"dp.{name}"].total
+        for name in DP_PHASES
+        if f"dp.{name}" in snapshot.timers
+    }
+    if phases:
+        dp["phases"] = phases
     doc["dp"] = dp
 
     caches: dict = {}
@@ -146,6 +159,11 @@ def render_profile(
         if "seconds" in dp:
             line += f" in {dp['seconds']:.3f} s"
         lines.append(line)
+    if dp.get("phases"):
+        lines.append(
+            "dp phases: "
+            + ", ".join(f"{name} {s:.3f} s" for name, s in dp["phases"].items())
+        )
 
     caches = profile.get("caches", {})
     if caches:

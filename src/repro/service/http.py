@@ -66,6 +66,9 @@ class ReproServer(ThreadingHTTPServer):
     """ThreadingHTTPServer owning one engine and one job queue."""
 
     daemon_threads = True
+    #: Listen backlog.  The stdlib default of 5 makes the kernel reset
+    #: connections once a few dozen clients connect at the same moment.
+    request_queue_size = 128
 
     def __init__(self, address, *, workers: int = 2, cache_entries: int = 256):
         self.engine = Engine(cache_entries=cache_entries)

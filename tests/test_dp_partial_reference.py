@@ -7,8 +7,10 @@
 
 with a ``v1``-independent argmin.  This module implements the paper's
 *literal* ``O(n^6)`` recursion — one full scan per ``(v1, v2)`` pair with
-``K2`` embedded — and checks that both produce identical ``E_verif`` tables
-(hence identical optima) on randomized instances.
+``K2`` embedded — and checks that it and the decomposed per-pair scan
+(:func:`dp_oracles.scan_interval`, the loop oracle of the batched
+production sweep) produce identical ``E_verif`` tables (hence identical
+optima) on randomized instances.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dp_oracles import scan_interval
 from repro.chains import TaskChain
-from repro.core.dp_partial import scan_interval
 from repro.core.factors import PairFactors
-
 from repro.testing import random_chain, random_platform
 
 

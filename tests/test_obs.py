@@ -36,7 +36,10 @@ from repro.obs import (
     span,
     tracer,
 )
-from repro.platforms import Platform
+from repro.chains import uniform_chain
+from repro.core import optimize
+from repro.core.dp_outer import phase
+from repro.platforms import HERA, Platform
 
 # ----------------------------------------------------------------------
 # strategies: observations drawn as multiples of 0.25 so that sums,
@@ -378,6 +381,36 @@ class TestProfileBuilder:
     def test_empty_snapshot_profile_renders(self):
         profile = build_profile(EMPTY_SNAPSHOT, None, command="noop")
         assert render_profile(profile).startswith("=== run report ===")
+
+
+class TestDpPhases:
+    """``optimize`` of ADMV* and ADMV times factors, forward pass and
+    backtrack as ``dp.<phase>`` spans and timers."""
+
+    PHASES = ("dp.factors", "dp.forward", "dp.backtrack")
+
+    def test_enabled_solve_records_each_phase(self):
+        reg, tr = MetricsRegistry(), Tracer()
+        with instrument(reg, tr):
+            optimize(uniform_chain(6), HERA, algorithm="admv")
+            optimize(uniform_chain(6), HERA, algorithm="admv_star")
+        snap = reg.snapshot()
+        for name in self.PHASES:
+            assert snap.timers[name].count == 2
+        solve_s = snap.timers["dp.solve"].total
+        assert sum(snap.timers[name].total for name in self.PHASES) <= solve_s
+        assert [e.name for e in tr.events if e.name in self.PHASES] == list(
+            self.PHASES * 2
+        )
+        profile = build_profile(snap, tr)
+        assert list(profile["dp"]["phases"]) == ["factors", "forward", "backtrack"]
+        assert "dp phases: factors" in render_profile(profile)
+
+    def test_disabled_path_is_one_shared_no_op(self):
+        assert metrics() is NULL_REGISTRY
+        assert phase(NULL_REGISTRY, "forward") is phase(NULL_REGISTRY, "backtrack")
+        optimize(uniform_chain(6), HERA, algorithm="admv")
+        assert NULL_REGISTRY.snapshot() is EMPTY_SNAPSHOT
 
 
 # ----------------------------------------------------------------------

@@ -423,6 +423,44 @@ class TestHttp:
         assert headers["X-Repro-Key"] == expected
 
 
+class TestConcurrentClients:
+    CLIENTS = 32
+
+    def test_burst_of_clients_is_served_without_resets(self, server):
+        """32 clients connecting at once all get a 200: the listen backlog
+        holds the burst instead of resetting connections."""
+        host, port = server.removeprefix("http://").split(":")
+        barrier = threading.Barrier(self.CLIENTS)
+        statuses: list[int] = []
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+
+        def client() -> None:
+            conn = http.client.HTTPConnection(host, int(port), timeout=30)
+            try:
+                barrier.wait(timeout=30)
+                conn.request("POST", "/solve", body=json.dumps(SOLVE))
+                response = conn.getresponse()
+                response.read()
+                with lock:
+                    statuses.append(response.status)
+            except (OSError, http.client.HTTPException) as exc:
+                with lock:
+                    errors.append(exc)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client) for _ in range(self.CLIENTS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not [e for e in errors if isinstance(e, ConnectionResetError)]
+        assert not errors
+        assert statuses == [200] * self.CLIENTS
+
+
 # ----------------------------------------------------------------------
 # live progress: SSE streaming, Prometheus exposition, cache headers
 # ----------------------------------------------------------------------
