@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import InvalidParameterError
+from .localsearch import RELATIVE_TOLERANCE
 from .workflow import WorkflowDAG, canonical_node_key
 
 __all__ = [
@@ -62,12 +63,6 @@ __all__ = [
     "join_from_dag",
     "join_sources",
 ]
-
-#: Relative improvement below which the local search considers itself
-#: converged — one value for every makespan scale (an absolute epsilon is
-#: below one ulp once makespans exceed ~10^4 s and the loop never stops
-#: improving-by-noise).  Matches :data:`repro.dag.search.RELATIVE_TOLERANCE`.
-RELATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ is lifted per worker:
   on the true expected makespan — the search ranks states by it, and
   :func:`~repro.simulation.parallel.simulate_parallel` certifies the
   winner's true value.
-* **Search** (:func:`search_parallel`): the PR-4/5 metaheuristics with
-  the move set generalised to (assignment, order) pairs — all of
-  :mod:`repro.dag.search`'s precedence-preserving order moves, plus
-  reassignment moves relocating one task to another worker.
+* **Search** (:func:`search_parallel`): the shared local-search kernel
+  (:mod:`repro.dag.localsearch`) with the move set generalised to
+  (assignment, order) pairs — all of :mod:`repro.dag.search`'s
+  precedence-preserving order moves, plus reassignment moves relocating
+  one task to another worker.
 
 :func:`optimize_parallel` (and ``optimize_dag(processors=p)``) is the
 top-level entry point.
@@ -41,10 +42,11 @@ top-level entry point.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,19 +56,13 @@ from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Action, Schedule
 from ..core.solver import optimize
-from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
-from ..obs import events as _ambient_events
-from ..obs import metrics as _ambient_metrics
+from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import span as _span
 from ..simulation.parallel import ParallelPlan, WorkerPlan
 from .linearize import candidate_orders
-from .search import (
-    SEARCH_METHODS,
-    _improves,
-    neighborhood,
-    random_neighbor,
-    random_order,
-)
+from .localsearch import check_request
+from .localsearch import search as _search
+from .search import neighborhood, random_neighbor, random_order
 from .workflow import WorkflowDAG
 
 __all__ = [
@@ -81,9 +77,6 @@ __all__ = [
     "search_parallel",
     "optimize_parallel",
 ]
-
-logger = get_logger(__name__)
-
 
 # ----------------------------------------------------------------------
 # the decision variable
@@ -374,7 +367,6 @@ class ParallelObjective:
         self._workers: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
         self._values: dict[tuple, float] = {}
         # Same discipline as ChainObjective: a private live registry
-        # whose counters back the legacy int-attribute views below, and
         # whose snapshot ships across n_jobs process shards.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_interval_solves = self.metrics.counter("parallel.interval.solves")
@@ -383,27 +375,6 @@ class ParallelObjective:
         self._c_worker_hits = self.metrics.counter("parallel.worker.hits")
         self._c_state_priced = self.metrics.counter("parallel.state.priced")
         self._c_state_hits = self.metrics.counter("parallel.state.hits")
-
-    # -- counter views (legacy int-attribute API) ----------------------
-    @property
-    def interval_solves(self) -> int:
-        return self._c_interval_solves.value
-
-    @property
-    def interval_cache_hits(self) -> int:
-        return self._c_interval_hits.value
-
-    @property
-    def worker_cache_hits(self) -> int:
-        return self._c_worker_hits.value
-
-    @property
-    def states_priced(self) -> int:
-        return self._c_state_priced.value
-
-    @property
-    def state_cache_hits(self) -> int:
-        return self._c_state_hits.value
 
     # -- interval layer -------------------------------------------------
     def _solve_interval(
@@ -538,10 +509,33 @@ class ParallelObjective:
         self._c_state_priced.inc()
         return value
 
-    @property
-    def states_scored(self) -> int:
-        """Total states this objective has priced (any path)."""
-        return self.states_priced + self.state_cache_hits
+    # -- search space (see repro.dag.localsearch) ---------------------
+    def evaluate(self, state: ParallelSchedule) -> tuple[float, None]:
+        return self.value(state), None
+
+    def neighbours(
+        self, state: ParallelSchedule, rng: np.random.Generator
+    ) -> Iterator[ParallelSchedule]:
+        cap = max(16, 2 * len(state.order))
+        return map(itemgetter(0), parallel_neighborhood(
+            state, rng=rng, max_reinsertions=cap, max_reassignments=cap
+        ))
+
+    def random_neighbour(
+        self, state: ParallelSchedule, rng: np.random.Generator
+    ) -> ParallelSchedule | None:
+        picked = random_parallel_neighbor(state, rng)
+        return None if picked is None else picked[0]
+
+    def worker_factory(self):
+        # a subclass may price differently from the stock objective a
+        # worker would rebuild, so it keeps every climb in-process
+        if type(self) is not ParallelObjective:
+            return None
+        return partial(
+            ParallelObjective, self.dag, self.platform, self.processors,
+            algorithm=self.algorithm,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -607,148 +601,6 @@ def random_parallel_neighbor(
         return state.with_worker(v, w), ("assign", v, w)
     order, move = picked
     return state.with_order(order), ("order",) + move
-
-
-# ----------------------------------------------------------------------
-# search drivers
-# ----------------------------------------------------------------------
-def _neighbor_caps(n: int) -> tuple[int, int]:
-    cap = max(16, 2 * n)
-    return cap, cap
-
-
-def _parallel_climb(
-    objective: ParallelObjective,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    max_rounds: int,
-) -> tuple[ParallelSchedule, float, int]:
-    """Steepest-descent hill climbing over the sampled neighborhood."""
-    best, best_value = state, objective.value(state)
-    reinsert_cap, reassign_cap = _neighbor_caps(len(state.order))
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        round_best, round_value = None, best_value
-        for candidate, _ in parallel_neighborhood(
-            best,
-            rng=rng,
-            max_reinsertions=reinsert_cap,
-            max_reassignments=reassign_cap,
-        ):
-            c_proposed.inc()
-            value = objective.value(candidate)
-            if _improves(value, round_value):
-                round_best, round_value = candidate, value
-        if round_best is None:
-            break
-        best, best_value = round_best, round_value
-        c_accepted.inc()
-        if bus.enabled:
-            bus.emit("search.round", round=rounds, value=best_value)
-    return best, best_value, rounds
-
-
-def _parallel_anneal(
-    objective: ParallelObjective,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-) -> tuple[ParallelSchedule, float, int]:
-    """Simulated annealing over (assignment, order) moves."""
-    current, current_value = state, objective.value(state)
-    best, best_value = current, current_value
-    temperature = max(current_value * 0.02, 1e-9)
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(max(0, iterations)):
-        picked = random_parallel_neighbor(current, rng)
-        if picked is None:
-            break
-        candidate, _ = picked
-        c_proposed.inc()
-        value = objective.value(candidate)
-        delta = value - current_value
-        if delta < 0.0 or rng.random() < math.exp(-delta / temperature):
-            current, current_value = candidate, value
-            accepted += 1
-            c_accepted.inc()
-            if _improves(current_value, best_value):
-                best, best_value = current, current_value
-                if bus.enabled:
-                    bus.emit(
-                        "search.best",
-                        iteration=it,
-                        value=best_value,
-                        accepted=accepted,
-                    )
-        temperature *= 0.99
-    return best, best_value, accepted
-
-
-def _climb_state(
-    objective: ParallelObjective,
-    method: str,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-    max_rounds: int,
-) -> tuple[ParallelSchedule, float, int]:
-    if method == "anneal":
-        return _parallel_anneal(objective, state, rng, iterations=iterations)
-    return _parallel_climb(objective, state, rng, max_rounds=max_rounds)
-
-
-def _parallel_climb_worker(payload: tuple):
-    """Pool entry point (module-level so it pickles for ``n_jobs``)."""
-    (
-        dag,
-        platform,
-        processors,
-        algorithm,
-        method,
-        order,
-        assignment,
-        climb_seed,
-        iterations,
-        max_rounds,
-    ) = payload
-    objective = ParallelObjective(
-        dag, platform, processors, algorithm=algorithm
-    )
-    state = ParallelSchedule(
-        dag, processors, order, assignment, _validate=False
-    )
-    from ..obs import NULL_REGISTRY, EventBus, instrument
-
-    bus = EventBus()
-    # counters live on the objective's own registry; the ambient scope
-    # only carries the event bus home
-    with instrument(NULL_REGISTRY, events=bus):
-        best, value, rounds = _climb_state(
-            objective,
-            method,
-            state,
-            np.random.default_rng(climb_seed),
-            iterations=iterations,
-            max_rounds=max_rounds,
-        )
-    return (
-        best.order,
-        best.assignment,
-        value,
-        rounds,
-        objective.metrics.snapshot(),
-        bus.snapshot(),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -845,7 +697,7 @@ class ParallelSearchResult:
     algorithm: str
     processors: int
     starts: int  #: list-schedule + random starting states explored
-    rounds: int  #: hill-climb improvement rounds (plus SA acceptances)
+    rounds: int  #: accepted moves over every climb and walk
     states_priced: int  #: distinct (assignment, order) states priced
     state_cache_hits: int
     interval_solves: int  #: chain-DP interval solves
@@ -947,134 +799,36 @@ def search_parallel(
     climbs across processes; workers use private objective memos, so
     only the *accounting* differs).
     """
-    if method not in SEARCH_METHODS:
-        raise InvalidParameterError(
-            f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
-        )
+    check_request(method, objective, dag, platform)
     if objective is None:
         objective = ParallelObjective(
             dag, platform, processors, algorithm=algorithm
         )
-    elif (
-        objective.processors != processors
-        or objective.dag is not dag
-    ):
+    elif objective.processors != processors:
         raise InvalidParameterError(
-            "the supplied objective prices a different dag/processor count"
+            "the supplied objective prices a different processor count"
         )
 
     ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
     starts = _start_states(
         dag, processors, restarts, np.random.default_rng(ss_starts)
     )
-    climb_seeds = ss_climbs.spawn(len(starts))
-    climb_method = "hill_climb" if method == "hybrid" else method
-
-    objective.metrics.counter("search.starts").inc(len(starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    results: list[tuple[str, ParallelSchedule, float, int]] = []
-    shard_snapshots: list[MetricsSnapshot] = []
-    use_pool = (
-        n_jobs is not None
-        and n_jobs > 1
-        and len(starts) > 1
-        and type(objective) is ParallelObjective
+    outcome = _search(
+        objective,
+        starts,
+        method=method,
+        climb_seed=ss_climbs,
+        anneal_seed=ss_anneal,
+        iterations=iterations,
+        max_rounds=max_rounds,
+        n_jobs=n_jobs,
     )
-    if use_pool:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (
-                dag,
-                platform,
-                processors,
-                objective.algorithm,
-                climb_method,
-                state.order,
-                state.assignment,
-                climb_seed,
-                iterations,
-                max_rounds,
-            )
-            for (_, state), climb_seed in zip(starts, climb_seeds)
-        ]
-        with _span(
-            "search.pool", n_jobs=min(n_jobs, len(starts)), starts=len(starts)
-        ), ProcessPoolExecutor(max_workers=min(n_jobs, len(starts))) as pool:
-            bus = _ambient_events()
-            for (
-                (label, _),
-                (order, assignment, value, rounds, shard, eshard),
-            ) in zip(starts, pool.map(_parallel_climb_worker, payloads)):
-                state = ParallelSchedule(
-                    dag, processors, order, assignment, _validate=False
-                )
-                results.append((label, state, value, rounds))
-                shard_snapshots.append(shard)
-                bus.replay(eshard)
-    else:
-        for (label, state), climb_seed in zip(starts, climb_seeds):
-            with _span("search.start", label=label) as sp:
-                best, value, rounds = _climb_state(
-                    objective,
-                    climb_method,
-                    state,
-                    np.random.default_rng(climb_seed),
-                    iterations=iterations,
-                    max_rounds=max_rounds,
-                )
-                sp.set(rounds=rounds, value=value)
-            results.append((label, best, value, rounds))
-
-    best_state: ParallelSchedule | None = None
-    best_value = math.inf
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    bus = _ambient_events()
-    for label, state, value, rounds in results:
-        start_values[label] = value
-        rounds_total += rounds
-        if bus.enabled:
-            bus.emit(
-                "search.climb", label=label, value=value, rounds=rounds
-            )
-        if best_state is None or _improves(value, best_value):
-            best_state, best_value = state, value
-    assert best_state is not None
-
-    if method == "hybrid":
-        with _span("search.anneal") as sp:
-            state, value, rounds = _parallel_anneal(
-                objective,
-                best_state,
-                np.random.default_rng(ss_anneal),
-                iterations=iterations,
-            )
-            sp.set(value=value)
-        rounds_total += rounds
-        start_values["anneal"] = value
-        if _improves(value, best_value):
-            best_state, best_value = state, value
-
+    best_state = outcome.state
     pricing = objective.price(best_state)
-    # Associative snapshot fold replaces the pool_counters int array —
-    # taken after the final pricing so its (cache-hit) accounting is
-    # included, exactly as the live-attribute reads used to be.
-    merged = MetricsSnapshot.merge_all(
-        [objective.metrics.snapshot(), *shard_snapshots]
-    )
-    _ambient_metrics().merge_snapshot(merged)
-    logger.debug(
-        "search_parallel done: dag=%s p=%d method=%s seed=%d value=%.6g "
-        "states=%d intervals=%d",
-        dag.name,
-        processors,
-        method,
-        seed,
-        best_value,
-        merged.counter("parallel.state.priced"),
-        merged.counter("parallel.interval.solves"),
-    )
+    # shipped after the final pricing so its (cache-hit) accounting is
+    # included
+    merged = outcome.ship_metrics(objective)
     layout = best_state.layout()
     solution = ParallelSolution(
         dag=dag,
@@ -1101,12 +855,12 @@ def search_parallel(
         algorithm=objective.algorithm,
         processors=processors,
         starts=len(starts),
-        rounds=rounds_total,
+        rounds=outcome.rounds,
         states_priced=merged.counter("parallel.state.priced"),
         state_cache_hits=merged.counter("parallel.state.hits"),
         interval_solves=merged.counter("parallel.interval.solves"),
         interval_cache_hits=merged.counter("parallel.interval.hits"),
-        start_values=start_values,
+        start_values=outcome.start_values,
         n_jobs=n_jobs,
         metrics=merged,
     )

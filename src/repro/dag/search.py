@@ -65,15 +65,9 @@ flip-decision.  :func:`search_order` dispatches on
 
 Multi-start, crossover, parallelism
 -----------------------------------
-The climbs start from every fixed heuristic order (including the
-critical-path / bottom-level priority rules) plus random restarts; each
-start draws its moves from an independently spawned child seed, so the
-result is reproducible for a fixed ``(seed, n_jobs)`` — in fact invariant
-in ``n_jobs``, which only shards the start climbs across worker
-processes.  Elite survivors are then recombined with a
-precedence-preserving one-point order crossover (MoRoTA-style: a prefix
-of one parent completed in the other parent's relative order is always a
-valid linear extension) and the children are climbed too.
+The objectives are the search spaces of the shared kernel
+(:mod:`repro.dag.localsearch`), which owns climbing, annealing,
+multi-start, elite recombination and ``n_jobs`` sharding.
 
 The winning order can optionally be **certified** by replaying it through
 the batched adaptive Monte-Carlo engine (``certify=True``; the array-API
@@ -85,9 +79,10 @@ stamp to the result.  Join winners are certified against
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,10 +93,7 @@ from ..core.result import Solution
 from ..core.schedule import Schedule
 from ..core.solver import optimize
 from ..exceptions import InvalidParameterError
-from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
-from ..obs import events as _ambient_events
-from ..obs import metrics as _ambient_metrics
-from ..obs import span as _span
+from ..obs import MetricsRegistry, MetricsSnapshot
 from ..platforms import Platform
 from .join import (
     JoinInstance,
@@ -113,6 +105,8 @@ from .join import (
     threshold_join,
 )
 from .linearize import DagSolution, candidate_orders
+from .localsearch import SEARCH_METHODS, check_request
+from .localsearch import search as _search
 from .workflow import WorkflowDAG, canonical_node_key
 
 __all__ = [
@@ -124,7 +118,6 @@ __all__ = [
     "apply_reinsertion",
     "apply_swap",
     "crossover_orders",
-    "hill_climb",
     "join_neighborhood",
     "neighborhood",
     "random_join_neighbor",
@@ -132,17 +125,9 @@ __all__ = [
     "random_order",
     "reinsertion_window",
     "search_order",
-    "simulated_annealing",
     "uses_join_objective",
     "SEARCH_METHODS",
 ]
-
-#: Relative improvement below which two orders are considered equivalent
-#: (guards against accepting float noise as progress).
-RELATIVE_TOLERANCE = 1e-12
-
-logger = get_logger(__name__)
-
 
 # ----------------------------------------------------------------------
 # precedence-preserving moves
@@ -492,142 +477,36 @@ class ChainObjective:
         return value
 
 
-# ----------------------------------------------------------------------
-# search drivers
-# ----------------------------------------------------------------------
-def _improves(candidate: float, incumbent: float) -> bool:
-    return candidate < incumbent * (1.0 - RELATIVE_TOLERANCE)
+    # -- search space (see repro.dag.localsearch) ---------------------
+    def evaluate(self, order: Sequence[Hashable]) -> tuple[float, Solution]:
+        solution = self.exact(order)
+        return solution.expected_time, solution
 
+    def neighbours(
+        self, order: Sequence[Hashable], rng: np.random.Generator
+    ) -> Iterator[list[Hashable]]:
+        cap = max(16, 2 * self.dag.n)
+        return map(itemgetter(0), neighborhood(
+            self.dag, order, rng=rng, max_reinsertions=cap
+        ))
 
-def hill_climb(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    max_rounds: int = 200,
-    max_reinsertions: int | None = None,
-    polish_budget: int | None = None,
-) -> tuple[list[Hashable], Solution, int]:
-    """Steepest-feasible descent from ``start``; returns order, solution
-    and the number of improvement rounds taken.
+    def random_neighbour(
+        self, order: Sequence[Hashable], rng: np.random.Generator
+    ) -> list[Hashable] | None:
+        picked = random_neighbor(self.dag, order, rng)
+        return None if picked is None else picked[0]
 
-    Each round screens the whole neighborhood with frozen-schedule bounds
-    (cheap), exact-confirms candidates in bound order, and accepts the
-    first genuine improvement.  When no bound promises progress, the round
-    *polishes*: it exact-evaluates the ``polish_budget`` most promising
-    neighbors anyway (``None`` = all of them), because the bound can hide
-    an improvement that only materialises after re-optimizing the
-    placements.  The climb stops at an order no evaluated neighbor beats.
-    """
-    order = list(start)
-    solution = objective.exact(order)
-    if max_reinsertions is None:
-        max_reinsertions = max(16, 2 * dag.n)
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    rounds = 0
-    for _ in range(max_rounds):
-        scored = sorted(
-            (
-                (objective.bound(cand, solution), cand)
-                for cand, _ in neighborhood(
-                    dag, order, rng=rng, max_reinsertions=max_reinsertions
-                )
-            ),
-            key=lambda pair: pair[0],
-        )
-        c_proposed.inc(len(scored))
-        accepted = False
-        value = solution.expected_time
-        for b, cand in scored:
-            if not _improves(b, value):
-                break
-            cand_solution = objective.exact(cand)
-            if _improves(cand_solution.expected_time, value):
-                order, solution, accepted = cand, cand_solution, True
-                break
-        if not accepted:
-            budget = len(scored) if polish_budget is None else polish_budget
-            for b, cand in scored[:budget]:
-                cand_solution = objective.exact(cand)
-                if _improves(cand_solution.expected_time, value):
-                    order, solution, accepted = cand, cand_solution, True
-                    break
-        if not accepted:
-            return order, solution, rounds
-        c_accepted.inc()
-        rounds += 1
-        if bus.enabled:
-            bus.emit(
-                "search.round",
-                round=rounds,
-                value=solution.expected_time,
-                proposed=len(scored),
-            )
-    return order, solution, rounds
+    def crossover(
+        self, a: Sequence[Hashable], b: Sequence[Hashable], rng: np.random.Generator
+    ) -> list[Hashable]:
+        return crossover_orders(a, b, int(rng.integers(1, self.dag.n)))
 
-
-def simulated_annealing(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    iterations: int = 400,
-    initial_temperature: float | None = None,
-    cooling: float = 0.99,
-) -> tuple[list[Hashable], Solution, int]:
-    """Metropolis walk over orders; returns the best order visited.
-
-    Moves are screened with the frozen-schedule bound of the *current*
-    solution; accepted moves are exact-evaluated (memoized), so the walk
-    anneals on true values while paying the DP only for accepted states.
-    The default initial temperature is 2% of the start value — enough to
-    hop over order-of-``V*`` barriers without random-walking.
-    """
-    order = list(start)
-    solution = objective.exact(order)
-    best_order, best_solution = order, solution
-    temperature = (
-        initial_temperature
-        if initial_temperature is not None
-        else 0.02 * solution.expected_time
-    )
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(iterations):
-        neighbor = random_neighbor(dag, order, rng)
-        if neighbor is None:  # rigid DAG (a chain): nothing to explore
-            break
-        cand, _move = neighbor
-        c_proposed.inc()
-        b = objective.bound(cand, solution)
-        delta = b - solution.expected_time
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            solution = objective.exact(cand)
-            order = cand
-            accepted += 1
-            c_accepted.inc()
-            if _improves(solution.expected_time, best_solution.expected_time):
-                best_order, best_solution = order, solution
-                if bus.enabled:
-                    bus.emit(
-                        "search.best",
-                        iteration=it,
-                        value=best_solution.expected_time,
-                        accepted=accepted,
-                    )
-        temperature *= cooling
-    return best_order, best_solution, accepted
-
-
-SEARCH_METHODS = ("hill_climb", "anneal", "hybrid")
+    def worker_factory(self):
+        # a subclass may price differently from the stock objective a
+        # worker would rebuild, so it keeps every climb in-process
+        if type(self) is not ChainObjective:
+            return None
+        return partial(ChainObjective, self.dag, self.platform, algorithm=self.algorithm)
 
 
 # ----------------------------------------------------------------------
@@ -657,14 +536,6 @@ class JoinObjective:
         self._c_evals = self.metrics.counter("search.join.evaluations")
         self._c_hits = self.metrics.counter("search.join.hits")
 
-    @property
-    def evaluations(self) -> int:
-        return self._c_evals.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_hits.value
-
     def value(self, schedule: JoinSchedule) -> float:
         key = (schedule.order, schedule.checkpoint)
         cached = self._memo.get(key)
@@ -676,9 +547,24 @@ class JoinObjective:
         self._c_evals.inc()
         return v
 
-    @property
-    def orders_scored(self) -> int:
-        return self.evaluations + self.cache_hits
+    # -- search space (see repro.dag.localsearch) ---------------------
+    def evaluate(self, schedule: JoinSchedule) -> tuple[float, None]:
+        return self.value(schedule), None
+
+    def neighbours(
+        self, schedule: JoinSchedule, rng: np.random.Generator
+    ) -> Iterator[JoinSchedule]:
+        return join_neighborhood(schedule)
+
+    def random_neighbour(
+        self, schedule: JoinSchedule, rng: np.random.Generator
+    ) -> JoinSchedule:
+        return random_join_neighbor(schedule, rng)
+
+    def worker_factory(self):
+        if type(self) is not JoinObjective:
+            return None
+        return partial(JoinObjective, self.instance)
 
 
 def join_neighborhood(schedule: JoinSchedule) -> Iterator[JoinSchedule]:
@@ -733,64 +619,6 @@ def random_join_neighbor(
     order.insert(j, src)
     decisions.insert(j, dec)
     return JoinSchedule(tuple(order), tuple(decisions))
-
-
-def _join_hill_climb(
-    objective: JoinObjective,
-    schedule: JoinSchedule,
-    *,
-    max_rounds: int = 200,
-) -> tuple[JoinSchedule, float, int]:
-    """Steepest descent over flips + repositions; exact values only."""
-    value = objective.value(schedule)
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    rounds = 0
-    for _ in range(max_rounds):
-        best_value, best_schedule = value, schedule
-        for cand in join_neighborhood(schedule):
-            c_proposed.inc()
-            v = objective.value(cand)
-            if _improves(v, best_value):
-                best_value, best_schedule = v, cand
-        if not _improves(best_value, value):
-            break
-        value, schedule = best_value, best_schedule
-        c_accepted.inc()
-        rounds += 1
-    return schedule, value, rounds
-
-
-def _join_anneal(
-    objective: JoinObjective,
-    schedule: JoinSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int = 400,
-    cooling: float = 0.99,
-) -> tuple[JoinSchedule, float, int]:
-    """Metropolis walk over join states; returns the best state visited."""
-    value = objective.value(schedule)
-    best_schedule, best_value = schedule, value
-    temperature = 0.02 * value
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    accepted = 0
-    for _ in range(iterations):
-        cand = random_join_neighbor(schedule, rng)
-        c_proposed.inc()
-        v = objective.value(cand)
-        delta = v - value
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            schedule, value = cand, v
-            accepted += 1
-            c_accepted.inc()
-            if _improves(value, best_value):
-                best_schedule, best_value = schedule, value
-        temperature *= cooling
-    return best_schedule, best_value, accepted
 
 
 class JoinDagSolution(DagSolution):
@@ -881,7 +709,7 @@ class SearchResult:
     seed: int
     algorithm: str
     starts: int  #: heuristic + random starting orders explored
-    rounds: int  #: hill-climb improvement rounds (plus SA acceptances)
+    rounds: int  #: accepted moves over every climb and walk
     orders_scored: int  #: candidate orders priced by any path
     exact_evaluations: int  #: full chain-DP solves
     exact_cache_hits: int
@@ -923,71 +751,6 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def _climb(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    method: str,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-    max_rounds: int,
-    polish_budget: int | None,
-) -> tuple[list[Hashable], Solution, int]:
-    """One climb (hill climbing or annealing, per ``method``)."""
-    if method == "anneal":
-        return simulated_annealing(
-            dag, objective, start, rng, iterations=iterations
-        )
-    return hill_climb(
-        dag,
-        objective,
-        start,
-        rng,
-        max_rounds=max_rounds,
-        polish_budget=polish_budget,
-    )
-
-
-def _climb_worker(payload: tuple):
-    """Process-pool entry point: one start climbed with a fresh objective.
-
-    Module-level so it pickles; each worker builds its own
-    :class:`ChainObjective` (memos are value-transparent, so private
-    caches change the work accounting but never the result) and ships
-    its registry snapshot home for the associative merge.
-    """
-    (
-        dag,
-        platform,
-        algorithm,
-        method,
-        start,
-        seed_seq,
-        iterations,
-        max_rounds,
-        polish_budget,
-    ) = payload
-    from ..obs import NULL_REGISTRY, EventBus, instrument
-
-    objective = ChainObjective(dag, platform, algorithm=algorithm)
-    bus = EventBus()
-    # the climb's counters live on the objective's own registry; the
-    # ambient scope only carries the event bus home
-    with instrument(NULL_REGISTRY, events=bus):
-        order, solution, rounds = _climb(
-            dag,
-            objective,
-            method,
-            start,
-            np.random.default_rng(seed_seq),
-            iterations=iterations,
-            max_rounds=max_rounds,
-            polish_budget=polish_budget,
-        )
-    return order, solution, rounds, objective.metrics.snapshot(), bus.snapshot()
-
-
 def uses_join_objective(dag: WorkflowDAG) -> bool:
     """Will :func:`search_order` price ``dag`` under the join objective?
 
@@ -1012,6 +775,7 @@ def _search_join_order(
     certify: bool,
     target_ci: float,
     certify_runs: int,
+    n_jobs: int | None,
 ) -> SearchResult:
     """Join-shaped dispatch target of :func:`search_order`.
 
@@ -1046,47 +810,19 @@ def _search_join_order(
         decisions = tuple(bool(b) for b in start_rng.random(n) < 0.5)
         starts.append((f"random-{r}", JoinSchedule(order, decisions)))
 
-    objective.metrics.counter("search.starts").inc(len(starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    best_schedule: JoinSchedule | None = None
-    best_value = math.inf
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    for (label, start), climb_seed in zip(starts, ss_climbs.spawn(len(starts))):
-        with _span("search.start", label=label) as sp:
-            if method == "anneal":
-                sched, value, rounds = _join_anneal(
-                    objective,
-                    start,
-                    np.random.default_rng(climb_seed),
-                    iterations=iterations,
-                )
-            else:
-                sched, value, rounds = _join_hill_climb(
-                    objective, start, max_rounds=max_rounds
-                )
-            sp.set(rounds=rounds, value=value)
-        if _ambient_events().enabled:
-            _ambient_events().emit(
-                "search.climb", label=label, value=value, rounds=rounds
-            )
-        start_values[label] = value
-        rounds_total += rounds
-        if best_schedule is None or _improves(value, best_value):
-            best_schedule, best_value = sched, value
-    assert best_schedule is not None
-
-    if method == "hybrid":
-        sched, value, rounds = _join_anneal(
-            objective,
-            best_schedule,
-            np.random.default_rng(ss_anneal),
-            iterations=iterations,
-        )
-        rounds_total += rounds
-        start_values["anneal"] = value
-        if _improves(value, best_value):
-            best_schedule, best_value = sched, value
+    outcome = _search(
+        objective,
+        starts,
+        method=method,
+        climb_seed=ss_climbs,
+        anneal_seed=ss_anneal,
+        iterations=iterations,
+        max_rounds=max_rounds,
+        n_jobs=n_jobs,
+    )
+    merged = outcome.ship_metrics(objective)
+    best_schedule, best_value = outcome.state, outcome.value
 
     order_nodes = [sources[i] for i in best_schedule.order] + [sink]
     _, chain = dag.serialise(order_nodes)
@@ -1119,7 +855,7 @@ def _search_join_order(
         search_method=method,
         search_seed=seed,
         search_starts=len(starts),
-        search_exact_evaluations=objective.evaluations,
+        search_exact_evaluations=merged.counter("search.join.evaluations"),
         search_bound_evaluations=0,
         join_rate=instance.rate,
         join_C=instance.C,
@@ -1140,22 +876,23 @@ def _search_join_order(
             seed=seed,
         )
 
-    merged = objective.metrics.snapshot()
-    _ambient_metrics().merge_snapshot(merged)
+    exact_evaluations = merged.counter("search.join.evaluations")
+    exact_cache_hits = merged.counter("search.join.hits")
     return SearchResult(
         solution=solution,
         method=method,
         seed=seed,
         algorithm="join",
         starts=len(starts),
-        rounds=rounds_total,
-        orders_scored=objective.orders_scored,
-        exact_evaluations=objective.evaluations,
-        exact_cache_hits=objective.cache_hits,
+        rounds=outcome.rounds,
+        orders_scored=exact_evaluations + exact_cache_hits,
+        exact_evaluations=exact_evaluations,
+        exact_cache_hits=exact_cache_hits,
         bound_evaluations=0,
         bound_cache_hits=0,
-        start_values=start_values,
+        start_values=outcome.start_values,
         certificate=certificate,
+        n_jobs=n_jobs,
         metrics=merged,
     )
 
@@ -1190,9 +927,9 @@ def search_order(
     join model has one scalar ``C``, so heterogeneous DAGs keep the
     chain objective, which does price the multipliers).  Passing an
     explicit ``objective`` also pins chain semantics.  The join path
-    evaluates states exactly in ``O(n)``, so ``n_jobs``/``recombine``
-    (and ``algorithm``/``polish_budget``/``backend``) do not apply and
-    are ignored there.
+    evaluates states exactly in ``O(n)``, so ``recombine`` (and
+    ``algorithm``/``polish_budget``/``backend``) do not apply and are
+    ignored there.
 
     Parameters
     ----------
@@ -1221,7 +958,8 @@ def search_order(
         Pluggable evaluation — pass a prepared :class:`ChainObjective`
         (e.g. shared across calls to reuse its memo) or leave ``None`` to
         build one for ``algorithm``.  Passing one also forces chain
-        semantics on join-shaped DAGs.
+        semantics on join-shaped DAGs.  It must price this ``dag``
+        object on this ``platform``; anything else is rejected.
     certify:
         Replay the winning order through the batched adaptive Monte-Carlo
         engine until the mean is certified to ``target_ci`` (running on
@@ -1229,10 +967,7 @@ def search_order(
         in the simulation too), attaching the agreement stamp.  Join
         winners replay through :func:`repro.dag.join.simulate_join`.
     """
-    if method not in SEARCH_METHODS:
-        raise InvalidParameterError(
-            f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
-        )
+    check_request(method, objective, dag, platform)
     if objective is None and uses_join_objective(dag):
         return _search_join_order(
             dag,
@@ -1245,6 +980,7 @@ def search_order(
             certify=certify,
             target_ci=target_ci,
             certify_runs=certify_runs,
+            n_jobs=n_jobs,
         )
     if objective is None:
         objective = ChainObjective(dag, platform, algorithm=algorithm)
@@ -1259,146 +995,23 @@ def search_order(
     ]
     for r in range(max(0, restarts)):
         starts.append((f"random-{r}", random_order(dag, start_rng)))
-    climb_seeds = ss_climbs.spawn(len(starts))
-    climb_kwargs = dict(
+
+    objective.metrics.counter("search.restarts").inc(max(0, restarts))
+    outcome = _search(
+        objective,
+        starts,
+        method=method,
+        climb_seed=ss_climbs,
+        anneal_seed=ss_anneal,
+        recombine_seed=ss_recombine,
+        recombine=recombine if dag.n >= 2 else 0,
         iterations=iterations,
         max_rounds=max_rounds,
         polish_budget=polish_budget,
+        n_jobs=n_jobs,
     )
-
-    objective.metrics.counter("search.starts").inc(len(starts))
-    objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    results: list[tuple[str, list[Hashable], Solution, int]] = []
-    shard_snapshots: list[MetricsSnapshot] = []
-    # pool workers rebuild a *stock* ChainObjective from the algorithm
-    # name, so a caller-supplied objective (possibly a subclass with its
-    # own pricing) must keep every climb in-process to stay authoritative
-    use_pool = (
-        n_jobs is not None
-        and n_jobs > 1
-        and len(starts) > 1
-        and type(objective) is ChainObjective
-    )
-    if use_pool:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (
-                dag,
-                platform,
-                objective.algorithm,
-                method,
-                start,
-                climb_seed,
-                iterations,
-                max_rounds,
-                polish_budget,
-            )
-            for (_, start), climb_seed in zip(starts, climb_seeds)
-        ]
-        with _span(
-            "search.pool", n_jobs=min(n_jobs, len(starts)), starts=len(starts)
-        ), ProcessPoolExecutor(max_workers=min(n_jobs, len(starts))) as pool:
-            bus = _ambient_events()
-            for (label, _), (order, solution, rounds, shard, eshard) in zip(
-                starts, pool.map(_climb_worker, payloads)
-            ):
-                results.append((label, order, solution, rounds))
-                shard_snapshots.append(shard)
-                bus.replay(eshard)
-    else:
-        for (label, start), climb_seed in zip(starts, climb_seeds):
-            with _span("search.start", label=label) as sp:
-                order, solution, rounds = _climb(
-                    dag,
-                    objective,
-                    method,
-                    start,
-                    np.random.default_rng(climb_seed),
-                    **climb_kwargs,
-                )
-                sp.set(rounds=rounds, value=solution.expected_time)
-            results.append((label, order, solution, rounds))
-
-    best_order: list[Hashable] | None = None
-    best_solution: Solution | None = None
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    bus = _ambient_events()
-    for label, order, solution, rounds in results:
-        start_values[label] = solution.expected_time
-        rounds_total += rounds
-        if bus.enabled:
-            bus.emit(
-                "search.climb",
-                label=label,
-                value=solution.expected_time,
-                rounds=rounds,
-            )
-        if best_solution is None or _improves(
-            solution.expected_time, best_solution.expected_time
-        ):
-            best_order, best_solution = order, solution
-    assert best_order is not None and best_solution is not None
-
-    # -- elite recombination (precedence-preserving one-point OX) ------
-    recombined = 0
-    if recombine > 0 and dag.n >= 2:
-        elites: list[list[Hashable]] = []
-        for _, order, solution, _ in sorted(
-            results, key=lambda r: r[2].expected_time
-        ):
-            if order not in elites:
-                elites.append(order)
-            if len(elites) >= 4:
-                break
-        if len(elites) >= 2:
-            seeds = ss_recombine.spawn(recombine + 1)
-            select_rng = np.random.default_rng(seeds[0])
-            for c in range(recombine):
-                a, b = select_rng.choice(len(elites), size=2, replace=False)
-                cut = int(select_rng.integers(1, dag.n))
-                child = crossover_orders(elites[int(a)], elites[int(b)], cut)
-                with _span("search.crossover", child=c) as sp:
-                    order, solution, rounds = _climb(
-                        dag,
-                        objective,
-                        method,
-                        child,
-                        np.random.default_rng(seeds[c + 1]),
-                        **climb_kwargs,
-                    )
-                    sp.set(value=solution.expected_time)
-                start_values[f"crossover-{c}"] = solution.expected_time
-                rounds_total += rounds
-                recombined += 1
-                if _improves(
-                    solution.expected_time, best_solution.expected_time
-                ):
-                    best_order, best_solution = order, solution
-
-    if method == "hybrid":
-        with _span("search.anneal") as sp:
-            order, solution, rounds = simulated_annealing(
-                dag,
-                objective,
-                best_order,
-                np.random.default_rng(ss_anneal),
-                iterations=iterations,
-            )
-            sp.set(value=solution.expected_time)
-        rounds_total += rounds
-        start_values["anneal"] = solution.expected_time
-        if _improves(solution.expected_time, best_solution.expected_time):
-            best_order, best_solution = order, solution
-
-    # One associative fold replaces the old pool_counters int array: the
-    # in-process objective's snapshot plus every worker shard, merged in
-    # any order with the same totals.
-    merged = MetricsSnapshot.merge_all(
-        [objective.metrics.snapshot(), *shard_snapshots]
-    )
-    _ambient_metrics().merge_snapshot(merged)
+    best_order, best_solution = outcome.state, outcome.ref
+    merged = outcome.ship_metrics(objective)
     exact_evaluations = merged.counter("search.exact.evaluations")
     exact_cache_hits = merged.counter("search.exact.hits")
     bound_evaluations = merged.counter("search.bound.evaluations")
@@ -1412,7 +1025,7 @@ def search_order(
         search_exact_evaluations=exact_evaluations,
         search_bound_evaluations=bound_evaluations,
         search_n_jobs=n_jobs,
-        search_recombined=recombined,
+        search_recombined=outcome.recombined,
     )
 
     certificate = None
@@ -1432,24 +1045,13 @@ def search_order(
             costs=dag.cost_profile(list(best_order), platform),
         )
 
-    logger.debug(
-        "search_order done: dag=%s method=%s seed=%d starts=%d value=%.6g "
-        "exact=%d bounds=%d",
-        dag.name,
-        method,
-        seed,
-        len(starts),
-        best_solution.expected_time,
-        exact_evaluations,
-        bound_evaluations,
-    )
     return SearchResult(
         solution=dag_solution,
         method=method,
         seed=seed,
         algorithm=objective.algorithm,
         starts=len(starts),
-        rounds=rounds_total,
+        rounds=outcome.rounds,
         orders_scored=(
             exact_evaluations
             + exact_cache_hits
@@ -1460,9 +1062,9 @@ def search_order(
         exact_cache_hits=exact_cache_hits,
         bound_evaluations=bound_evaluations,
         bound_cache_hits=bound_cache_hits,
-        start_values=start_values,
+        start_values=outcome.start_values,
         certificate=certificate,
         n_jobs=n_jobs,
-        recombined=recombined,
+        recombined=outcome.recombined,
         metrics=merged,
     )

@@ -18,13 +18,12 @@ from repro.dag.search import (
     adjacent_swaps,
     apply_reinsertion,
     apply_swap,
-    hill_climb,
     neighborhood,
     random_neighbor,
     random_order,
     reinsertion_window,
-    simulated_annealing,
 )
+from repro.dag.localsearch import anneal, climb
 from repro.exceptions import InvalidParameterError
 from repro.platforms import Platform
 
@@ -272,14 +271,13 @@ class TestSearch:
         objective = ChainObjective(pipeline, platform, algorithm=FAST_ALGO)
         rng = np.random.default_rng(0)
         start = random_order(pipeline, rng)
-        for driver, kwargs in (
-            (hill_climb, {"max_rounds": 5}),
-            (simulated_annealing, {"iterations": 50}),
+        for walk, kwargs in (
+            (climb, {"max_rounds": 5}),
+            (anneal, {"iterations": 50}),
         ):
-            order, solution, _ = driver(
-                pipeline, objective, start, rng, **kwargs
-            )
+            order, value, solution, _ = walk(objective, start, rng, **kwargs)
             pipeline.serialise(order)
+            assert value == solution.expected_time
             assert solution.expected_time <= objective.exact(
                 start
             ).expected_time * (1 + 1e-12)
@@ -449,6 +447,19 @@ class TestCrossoverAndMultiStart:
         )
         assert again.solution.order == sharded.solution.order
         assert again.expected_time == sharded.expected_time
+
+    def test_join_n_jobs_sharding_is_result_invariant(self, platform):
+        # the join search shards its start climbs through the same kernel
+        dag = generate("join", seed=4, sources=11, weights="lognormal")
+        serial = search_order(dag, platform, seed=0)
+        sharded = search_order(dag, platform, seed=0, n_jobs=2)
+        assert serial.algorithm == sharded.algorithm == "join"
+        assert sharded.solution.order == serial.solution.order
+        assert sharded.solution.join_schedule == serial.solution.join_schedule
+        assert sharded.expected_time == serial.expected_time
+        assert sharded.start_values == serial.start_values
+        assert sharded.rounds == serial.rounds
+        assert sharded.n_jobs == 2
 
     def test_priority_rule_orders_seed_the_climbs(self, platform):
         # the start set includes every deduplicated fixed heuristic —

@@ -353,6 +353,30 @@ class TestEmitters:
         kinds = {e.kind for e in serial_bus.snapshot().events}
         assert "search.climb" in kinds and "search.round" in kinds
 
+    def test_join_and_parallel_searches_emit_rounds(self):
+        from repro.dag import generate, search_order, search_parallel
+        from repro.platforms import Platform
+
+        platform = Platform.from_costs(
+            "dag", lf=2e-4, ls=6e-4, CD=40.0, CM=8.0, r=0.8
+        )
+        join = generate("join", seed=2, sources=5, weights="lognormal")
+        layered = generate("layered", seed=11, tasks=10, layers=3, density=0.5)
+        bus = EventBus()
+        with instrument(MetricsRegistry(), events=bus):
+            joined = search_order(join, platform, seed=0)
+        rounds = [e for e in bus.snapshot().events if e.kind == "search.round"]
+        assert joined.algorithm == "join"
+        assert len(rounds) == joined.rounds > 0
+        bus = EventBus()
+        with instrument(MetricsRegistry(), events=bus):
+            search_parallel(
+                layered, platform, 2, algorithm="adv_star", seed=0, restarts=1
+            )
+        rounds = [e for e in bus.snapshot().events if e.kind == "search.round"]
+        assert rounds
+        assert all(e.data["proposed"] > 0 for e in rounds)
+
     def test_disabled_run_emits_nothing_and_matches_enabled_result(self):
         from repro.chains import uniform_chain
         from repro.core import optimize
