@@ -23,7 +23,12 @@ gates, one per claim:
   frozen-schedule bound must be >= 5x faster than re-running
   ``optimize()`` from scratch on the neighbor's serialisation (measured
   on the production ``ADMV`` algorithm; in practice the gap is orders of
-  magnitude).
+  magnitude);
+* **join round**: a join climb round that screens the neighbourhood in
+  one NumPy pass (``JoinObjective.screen_neighbours``) must be >= 4x
+  faster than the exact scan pricing every neighbour with
+  ``evaluate_join``, on ``join-24`` — and return the same states and
+  value bits.
 
 Writes ``results/BENCH_dag_search.json`` (quality + evaluation rates; the
 CI bench job copies it to the repo root on main pushes so the trajectory
@@ -37,7 +42,7 @@ import time
 
 import numpy as np
 
-from bench_common import save_result
+from bench_common import bench_meta, save_result, spread
 from repro.core import optimize
 from repro.dag import ChainObjective, campaign, candidate_orders, generate
 from repro.dag.join import (
@@ -47,8 +52,10 @@ from repro.dag.join import (
     threshold_join,
 )
 from repro.dag.linearize import optimize_dag
-from repro.dag.search import neighborhood, search_order
+from repro.dag.localsearch import _steepest_round
+from repro.dag.search import JoinObjective, neighborhood, search_order
 from repro.experiments.dag_search import stress_platform
+from repro.testing import ExactJoinSpace, random_join_state
 
 SEED = 0
 QUALITY_ALGORITHM = "admv_star"  # many exact solves: the O(n^4) DP
@@ -56,6 +63,27 @@ SPEEDUP_ALGORITHM = "admv"  # the production default the bound must beat
 MIN_INCREMENTAL_SPEEDUP = 5.0
 NEIGHBOR_SAMPLE = 40
 HETERO_MARGIN = 0.01  # the hetero campaign must beat heuristics by >= 1%
+JOIN_ROUND_INSTANCE = "join-24"
+JOIN_ROUND_STATES = 5  # rounds timed per repeat: threshold start + random
+JOIN_ROUND_REPEATS = 7
+MIN_JOIN_ROUND_SPEEDUP = 4.0
+
+
+def time_join_rounds(make_space, states):
+    """Seconds for one round from each state, on a fresh (cold) space,
+    and what the rounds returned."""
+    space = make_space()
+    rng = np.random.default_rng(SEED)
+    t0 = time.perf_counter()
+    steps = [
+        _steepest_round(space, state, space.evaluate(state)[0], None, rng, None)
+        for state in states
+    ]
+    seconds = time.perf_counter() - t0
+    return seconds, [
+        (proposed, None if step is None else (step[0], float(step[1]).hex()))
+        for proposed, step in steps
+    ]
 
 
 def test_dag_search_gates(benchmark, results_dir):
@@ -295,8 +323,50 @@ def test_dag_search_gates(benchmark, results_dir):
         speedup,
     )
 
+    # ------------------------------------------------------------------
+    # gate 6 — a screened join round >= 4x the exact scan, same answer
+    # ------------------------------------------------------------------
+    join_dag = next(
+        d for d in campaign("join", seed=SEED) if d.name == JOIN_ROUND_INSTANCE
+    )
+    instance = join_from_dag(
+        join_dag, rate=platform.lf, C=platform.CD, R=platform.RD
+    )
+    state_rng = np.random.default_rng(SEED)
+    join_states = [threshold_join(instance)[1]] + [
+        random_join_state(state_rng, instance.n_sources)
+        for _ in range(JOIN_ROUND_STATES - 1)
+    ]
+    timings = {"scalar": [], "screened": []}
+    for _ in range(JOIN_ROUND_REPEATS):
+        seconds, exact_steps = time_join_rounds(
+            lambda: ExactJoinSpace(instance), join_states
+        )
+        timings["scalar"].append(seconds / len(join_states))
+        seconds, screened_steps = time_join_rounds(
+            lambda: JoinObjective(instance), join_states
+        )
+        timings["screened"].append(seconds / len(join_states))
+        assert screened_steps == exact_steps, (exact_steps, screened_steps)
+    join_round = {name: spread(samples) for name, samples in timings.items()}
+    round_speedup = (
+        join_round["scalar"]["median_s"] / join_round["screened"]["median_s"]
+    )
+    lines.append(
+        f"join round ({JOIN_ROUND_INSTANCE}, {instance.n_sources} sources, "
+        f"{exact_steps[0][0]} neighbours): exact scan "
+        f"{join_round['scalar']['median_s'] * 1e3:6.2f} ms, screened "
+        f"{join_round['screened']['median_s'] * 1e3:6.2f} ms -> "
+        f"{round_speedup:.1f}x (medians of {JOIN_ROUND_REPEATS})"
+    )
+    assert round_speedup >= MIN_JOIN_ROUND_SPEEDUP, (
+        "the screened join round lost its edge over the exact scan",
+        join_round,
+    )
+
     doc = {
         "bench": "dag_search",
+        "meta": bench_meta(JOIN_ROUND_REPEATS),
         "seed": SEED,
         "platform": platform.name,
         "quality_algorithm": QUALITY_ALGORITHM,
@@ -317,6 +387,16 @@ def test_dag_search_gates(benchmark, results_dir):
             "speedup": speedup,
             "min_speedup": MIN_INCREMENTAL_SPEEDUP,
             "bounds_per_s": 1.0 / incremental_s,
+        },
+        "join_round": {
+            "instance": JOIN_ROUND_INSTANCE,
+            "sources": instance.n_sources,
+            "neighbours": exact_steps[0][0],
+            "rounds_per_repeat": len(join_states),
+            "scalar": join_round["scalar"],
+            "screened": join_round["screened"],
+            "speedup": round_speedup,
+            "min_speedup": MIN_JOIN_ROUND_SPEEDUP,
         },
     }
     (results_dir / "BENCH_dag_search.json").write_text(

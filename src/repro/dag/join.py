@@ -36,8 +36,19 @@ Optimization
 ------------
 :func:`exhaustive_join` enumerates all ``2^(n-1)`` decision vectors (and
 optionally source orders); :func:`local_search_join` is a hill-climbing
-heuristic (flip / re-position moves) that matches the exhaustive optimum on
-small instances in our tests and scales to hundreds of sources.
+heuristic (decision flips and adjacent order swaps) that matches the
+exhaustive optimum on small instances in our tests and scales to hundreds
+of sources.  The join-aware order search
+(:class:`repro.dag.search.JoinObjective`) explores a wider neighbourhood
+(flips plus every source re-position) and screens it with
+:func:`evaluate_join_batch`, the array form of :func:`evaluate_join`.
+
+Overflow
+--------
+``e^{λV}`` overflows a double once ``λV`` exceeds ~709.78.  A segment that
+long is priced ``+inf`` (saturated) rather than raising, so a search
+simply never accepts such a state; :func:`evaluate_join` returns ``inf``
+only for states with such a segment.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ __all__ = [
     "JoinInstance",
     "JoinSchedule",
     "evaluate_join",
+    "evaluate_join_batch",
     "exhaustive_join",
     "local_search_join",
     "threshold_join",
@@ -135,11 +147,24 @@ class JoinSchedule:
 def _segment_cost(V: float, rate: float, R_eff: float) -> float:
     """Expected time of a volatile segment: ``(e^{λV} - 1)(1/λ + R)``.
 
-    λ -> 0 limit: ``V`` (no failures, no retries).
+    λ -> 0 limit: ``V`` (no failures, no retries).  Saturates to ``inf``
+    where ``e^{λV}`` overflows.
     """
     if rate == 0.0:
         return V
-    return math.expm1(rate * V) * (1.0 / rate + R_eff)
+    try:
+        growth = math.expm1(rate * V)
+    except OverflowError:
+        return math.inf
+    return growth * (1.0 / rate + R_eff)
+
+
+def _segment_costs(V: np.ndarray, rate: float, R_eff: np.ndarray) -> np.ndarray:
+    """:func:`_segment_cost` over arrays (overflow warnings are the
+    caller's to silence: ``np.expm1`` saturates to ``inf`` by itself)."""
+    if rate == 0.0:
+        return V
+    return np.expm1(rate * V) * (1.0 / rate + R_eff)
 
 
 def evaluate_join(instance: JoinInstance, schedule: JoinSchedule) -> float:
@@ -149,27 +174,58 @@ def evaluate_join(instance: JoinInstance, schedule: JoinSchedule) -> float:
             f"schedule covers {len(schedule.order)} sources, instance has "
             f"{instance.n_sources}"
         )
-    rate = instance.rate
+    rate, C, weights = instance.rate, instance.C, instance.source_weights
     total = 0.0
     volatile = 0.0  # accumulated unprotected work
-    have_checkpoint = False
-    for pos, src in enumerate(schedule.order):
-        w = instance.source_weights[src]
-        if schedule.checkpoint[pos]:
-            V = volatile + w
-            R_eff = instance.R if have_checkpoint else 0.0
-            total += _segment_cost(V, rate, R_eff) + instance.C
-            have_checkpoint = True
+    R_eff = 0.0  # recovery is free until the first checkpoint exists
+    for src, decided in zip(schedule.order, schedule.checkpoint):
+        if decided:
             # the just-checkpointed task is protected; earlier unprotected
             # tasks remain volatile for all later segments
+            total += _segment_cost(volatile + weights[src], rate, R_eff) + C
+            R_eff = instance.R
         else:
-            volatile += w
-            continue
+            volatile += weights[src]
     # final segment: remaining unprotected sources + the sink
-    V = volatile + instance.sink_weight
-    R_eff = instance.R if have_checkpoint else 0.0
-    total += _segment_cost(V, rate, R_eff)
+    total += _segment_cost(volatile + instance.sink_weight, rate, R_eff)
     return total
+
+
+def evaluate_join_batch(
+    instance: JoinInstance, orders: np.ndarray, checkpoints: np.ndarray
+) -> np.ndarray:
+    """:func:`evaluate_join` of many states in one NumPy pass.
+
+    Row ``k`` of ``orders`` (ints) and ``checkpoints`` (bools), both
+    ``(K, n)``, is one state; returns the ``K`` expected makespans.  The
+    arithmetic is the scalar form's, in the same order: the volatile
+    work and the segment total are sequential ``cumsum``s (adding a
+    protected source's ``0.0`` is exact), so the only difference is
+    NumPy's vectorised ``expm1``, which can differ from ``math.expm1`` in
+    the last ulp.  A value is therefore within a few ulps of
+    :func:`evaluate_join`, not bitwise equal to it.  Overflowing segments
+    saturate to ``inf`` as in the scalar form.
+    """
+    weights = np.asarray(instance.source_weights)[orders]
+    protect = np.asarray(checkpoints, dtype=bool)
+    volatile = np.cumsum(np.where(protect, 0.0, weights), axis=1)
+    V = weights.copy()
+    V[:, 1:] += volatile[:, :-1]
+    seen = np.logical_or.accumulate(protect, axis=1)
+    R_eff = np.zeros_like(V)
+    R_eff[:, 1:] = np.where(seen[:, :-1], instance.R, 0.0)
+    rate = instance.rate
+    with np.errstate(over="ignore"):
+        segments = np.where(
+            protect, _segment_costs(V, rate, R_eff) + instance.C, 0.0
+        )
+        total = np.cumsum(segments, axis=1)[:, -1]
+        final = _segment_costs(
+            volatile[:, -1] + instance.sink_weight,
+            rate,
+            np.where(seen[:, -1], instance.R, 0.0),
+        )
+        return total + final
 
 
 def exhaustive_join(
@@ -204,7 +260,7 @@ def exhaustive_join(
         for bits in itertools.product((False, True), repeat=n):
             schedule = JoinSchedule(tuple(order), bits)
             value = evaluate_join(instance, schedule)
-            if value < best_value:
+            if best_schedule is None or value < best_value:
                 best_value = value
                 best_schedule = schedule
     assert best_schedule is not None

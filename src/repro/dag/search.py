@@ -60,7 +60,10 @@ under the APDCM'15 **forever-vulnerable** objective instead
 with ``rate = λ_f``, ``C = C_D``, ``R = R_D``): the state is an order
 *plus* per-source checkpoint decisions, and the moves are
 reposition-source (the decision travels with the source) and
-flip-decision.  :func:`search_order` dispatches on
+flip-decision.  A climb round screens all ``n²`` neighbours in one
+array pass (:func:`repro.dag.join.evaluate_join_batch`) and prices
+exactly only those that could beat the running best.
+:func:`search_order` dispatches on
 :meth:`~repro.dag.workflow.WorkflowDAG.is_join` automatically.
 
 Multi-start, crossover, parallelism
@@ -79,9 +82,10 @@ stamp to the result.  Join winners are certified against
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, MutableMapping, Sequence
+import math
+from collections.abc import Callable, Hashable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -92,13 +96,14 @@ from ..core.evaluator import evaluate_schedule
 from ..core.result import Solution
 from ..core.schedule import Schedule
 from ..core.solver import optimize
-from ..exceptions import InvalidParameterError
+from ..exceptions import InvalidParameterError, SolverError
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..platforms import Platform
 from .join import (
     JoinInstance,
     JoinSchedule,
     evaluate_join,
+    evaluate_join_batch,
     join_from_dag,
     join_sources,
     simulate_join,
@@ -118,6 +123,7 @@ __all__ = [
     "apply_reinsertion",
     "apply_swap",
     "crossover_orders",
+    "join_moves",
     "join_neighborhood",
     "neighborhood",
     "random_join_neighbor",
@@ -516,12 +522,17 @@ class JoinObjective:
     """Memoized exact objective over join states (order + decisions).
 
     :func:`repro.dag.join.evaluate_join` is an exact ``O(n)`` closed
-    form, so unlike :class:`ChainObjective` there is no DP/bound split —
-    every state is priced exactly and memoized on the
-    ``(order, checkpoint)`` tuple.  The *forever-vulnerable* semantics
-    are what make order search worthwhile here: an unprotected source
-    inflates every later segment, so repositioning sources interacts
-    with the checkpoint decisions.
+    form, so unlike :class:`ChainObjective` there is no DP/bound split.
+    A climb round prices the whole ``n²``-state neighbourhood
+    approximately in one NumPy pass (:meth:`screen_neighbours`, counted
+    as ``search.join.screened``); only the states that could still beat
+    the round's running best are priced exactly, counted as
+    ``search.join.confirmed``.  Every exact value — and so every
+    accepted one — comes from :func:`~repro.dag.join.evaluate_join` and
+    is memoized on the ``(order, checkpoint)`` tuple.  The
+    *forever-vulnerable* semantics are what make order search worthwhile
+    here: an unprotected source inflates every later segment, so
+    repositioning sources interacts with the checkpoint decisions.
     """
 
     def __init__(
@@ -535,6 +546,8 @@ class JoinObjective:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_evals = self.metrics.counter("search.join.evaluations")
         self._c_hits = self.metrics.counter("search.join.hits")
+        self._c_screened = self.metrics.counter("search.join.screened")
+        self._c_confirmed = self.metrics.counter("search.join.confirmed")
 
     def value(self, schedule: JoinSchedule) -> float:
         key = (schedule.order, schedule.checkpoint)
@@ -556,6 +569,44 @@ class JoinObjective:
     ) -> Iterator[JoinSchedule]:
         return join_neighborhood(schedule)
 
+    def screen_neighbours(
+        self, schedule: JoinSchedule
+    ) -> tuple[np.ndarray, Callable[[int], JoinSchedule]]:
+        """Approximate values of :func:`join_neighborhood`, in its order.
+
+        One :func:`~repro.dag.join.evaluate_join_batch` pass over the
+        :func:`join_moves` table (in row blocks, so memory stays bounded
+        for wide joins); ``materialise(k)`` builds the ``k``-th
+        neighbour for exact confirmation.
+        """
+        n = len(schedule.order)
+        moves = join_moves(n)
+        order = np.asarray(schedule.order, dtype=np.intp)
+        checkpoint = np.asarray(schedule.checkpoint, dtype=bool)
+        approx = np.empty(len(moves))
+        step = max(1, _SCREEN_BLOCK // n)
+        for lo in range(0, len(moves), step):
+            rows = moves[lo : lo + step]
+            decisions = checkpoint[rows]
+            flips = np.arange(lo, min(lo + len(rows), n))
+            decisions[flips - lo, flips] ^= True
+            approx[lo : lo + len(rows)] = evaluate_join_batch(
+                self.instance, order[rows], decisions
+            )
+        self._c_screened.inc(len(approx))
+
+        def materialise(k: int) -> JoinSchedule:
+            self._c_confirmed.inc()
+            row = moves[k].tolist()
+            decisions = [schedule.checkpoint[p] for p in row]
+            if k < n:
+                decisions[k] = not decisions[k]
+            return JoinSchedule(
+                tuple(schedule.order[p] for p in row), tuple(decisions)
+            )
+
+        return approx, materialise
+
     def random_neighbour(
         self, schedule: JoinSchedule, rng: np.random.Generator
     ) -> JoinSchedule:
@@ -565,6 +616,33 @@ class JoinObjective:
         if type(self) is not JoinObjective:
             return None
         return partial(JoinObjective, self.instance)
+
+
+#: Elements per row block of :meth:`JoinObjective.screen_neighbours`.
+_SCREEN_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def join_moves(n: int) -> np.ndarray:
+    """The ``(n², n)`` move table of :func:`join_neighborhood`.
+
+    Row ``k`` describes the ``k``-th neighbour of any ``n``-source state:
+    entry ``p`` is the position of the current state whose source (and
+    decision) the neighbour runs at position ``p``.  Rows ``0..n-1`` are
+    the flips — identity rows whose decision ``k`` is toggled — then the
+    ``i -> j`` repositions in scan order.  Built once per ``n``, read-only.
+    """
+    i, j = (a.ravel() for a in np.indices((n, n)))
+    keep = i != j
+    i, j = i[keep, None], j[keep, None]
+    p = np.arange(n)
+    # pop i, insert at j: the sources in between shift one place
+    moved = p + ((i <= p) & (p < j)) - ((j < p) & (p <= i))
+    moved[p == j] = i.ravel()
+    table = np.vstack([np.broadcast_to(p, (n, n)), moved])
+    table = table.astype(np.min_scalar_type(n))
+    table.flags.writeable = False
+    return table
 
 
 def join_neighborhood(schedule: JoinSchedule) -> Iterator[JoinSchedule]:
@@ -729,10 +807,13 @@ class SearchResult:
 
     def summary(self) -> str:
         if self.algorithm == "join":
+            metrics = self.metrics or MetricsSnapshot()
             accounting = (
                 f"  states scored: {self.orders_scored} "
                 f"({self.exact_evaluations} join evaluations, "
-                f"{self.exact_cache_hits} cache hits)"
+                f"{self.exact_cache_hits} cache hits; "
+                f"{metrics.counter('search.join.screened')} screened in batch, "
+                f"{metrics.counter('search.join.confirmed')} confirmed exactly)"
             )
         else:
             accounting = (
@@ -823,6 +904,12 @@ def _search_join_order(
     )
     merged = outcome.ship_metrics(objective)
     best_schedule, best_value = outcome.state, outcome.value
+    if not math.isfinite(best_value):
+        raise SolverError(
+            f"no join schedule of {dag.name!r} has a finite expected "
+            f"makespan: e^(λV) overflows on every state searched "
+            f"(λ = {instance.rate:g}, sink weight {instance.sink_weight:g})"
+        )
 
     order_nodes = [sources[i] for i in best_schedule.order] + [sink]
     _, chain = dag.serialise(order_nodes)
@@ -878,6 +965,10 @@ def _search_join_order(
 
     exact_evaluations = merged.counter("search.join.evaluations")
     exact_cache_hits = merged.counter("search.join.hits")
+    # a screened state is scored once, exactly or not
+    screened_only = merged.counter("search.join.screened") - merged.counter(
+        "search.join.confirmed"
+    )
     return SearchResult(
         solution=solution,
         method=method,
@@ -885,7 +976,7 @@ def _search_join_order(
         algorithm="join",
         starts=len(starts),
         rounds=outcome.rounds,
-        orders_scored=exact_evaluations + exact_cache_hits,
+        orders_scored=exact_evaluations + exact_cache_hits + screened_only,
         exact_evaluations=exact_evaluations,
         exact_cache_hits=exact_cache_hits,
         bound_evaluations=0,

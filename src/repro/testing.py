@@ -22,7 +22,13 @@ import numpy as np
 from .chains import TaskChain
 from .platforms import Platform
 
-__all__ = ["random_chain", "random_platform", "random_cost_profile"]
+__all__ = [
+    "ExactJoinSpace",
+    "random_chain",
+    "random_platform",
+    "random_cost_profile",
+    "random_join_state",
+]
 
 
 def random_platform(
@@ -61,3 +67,32 @@ def random_cost_profile(rng: np.random.Generator, n: int):
         Vg=rng.uniform(0.5, 6.0, n),
         Vp=rng.uniform(0.05, 0.4, n),
     )
+
+
+def random_join_state(rng: np.random.Generator, n: int):
+    """A random join state: a source order and fair-coin decisions."""
+    from .dag.join import JoinSchedule
+
+    order = tuple(int(i) for i in rng.permutation(n))
+    return JoinSchedule(order, tuple(bool(b) for b in rng.random(n) < 0.5))
+
+
+class ExactJoinSpace:
+    """The join objective without ``screen_neighbours``: a climb round
+    prices every neighbour with ``evaluate_join``.  This is the exact scan
+    the screened round must reproduce bitwise, and the one it is timed
+    against."""
+
+    def __init__(self, instance) -> None:
+        from .dag.search import JoinObjective
+
+        self.objective = JoinObjective(instance)
+        self.metrics = self.objective.metrics
+
+    def evaluate(self, state):
+        return self.objective.evaluate(state)
+
+    def neighbours(self, state, rng):
+        from .dag.search import join_neighborhood
+
+        return join_neighborhood(state)

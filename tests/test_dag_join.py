@@ -19,11 +19,22 @@ from repro.dag import (
     join_from_dag,
     join_sources,
     local_search_join,
+    search_order,
     simulate_join,
     threshold_join,
 )
-from repro.dag.search import join_neighborhood, random_join_neighbor
-from repro.exceptions import InvalidParameterError
+from repro.dag.join import evaluate_join_batch
+from repro.dag.localsearch import SCREEN_MARGIN, _steepest_round, climb
+from repro.dag.search import (
+    JoinObjective,
+    join_moves,
+    join_neighborhood,
+    random_join_neighbor,
+)
+from repro.exceptions import InvalidParameterError, SolverError
+from repro.platforms import Platform
+from repro.service import Engine
+from repro.testing import ExactJoinSpace, random_join_state
 
 
 def make_instance(weights=(10.0, 20.0, 30.0), sink=5.0, rate=5e-3, C=3.0, R=2.0):
@@ -319,10 +330,7 @@ class TestSeededSimulationAgreement:
 @st.composite
 def join_state(draw):
     n = draw(st.integers(min_value=1, max_value=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    order = tuple(int(i) for i in rng.permutation(n))
-    decisions = tuple(bool(b) for b in rng.random(n) < 0.5)
-    return JoinSchedule(order, decisions)
+    return random_join_state(np.random.default_rng(draw(st.integers(0, 2**31))), n)
 
 
 class TestJoinMoveProperties:
@@ -356,3 +364,161 @@ class TestJoinMoveProperties:
         assert (cand.order == state.order and len(changed) == 1) or (
             cand.order != state.order and not changed
         )
+
+
+# ----------------------------------------------------------------------
+# overflow: e^(λV) past a double saturates to +inf, never raises
+# ----------------------------------------------------------------------
+#: λ_f = 0.5 puts any three of these sources in one segment past e^709.
+OVERFLOW_PLATFORM = Platform.from_costs(
+    "overflow", lf=0.5, ls=1e-6, CD=40.0, CM=8.0, r=0.8
+)
+#: λ_f = 2 overflows even the sink's own final segment: no finite state.
+SATURATED_PLATFORM = Platform.from_costs(
+    "saturated", lf=2.0, ls=1e-6, CD=40.0, CM=8.0, r=0.8
+)
+
+
+def overflow_dag():
+    return generate("join", seed=1, sources=5, weights="lognormal")
+
+
+class TestOverflow:
+    def test_overflowing_segment_prices_inf(self):
+        inst = join_from_dag(overflow_dag(), rate=0.5, C=40.0, R=40.0)
+        order = tuple(range(inst.n_sources))
+        none = JoinSchedule(order, (False,) * inst.n_sources)
+        every = JoinSchedule(order, (True,) * inst.n_sources)
+        assert evaluate_join(inst, none) == math.inf
+        assert math.isfinite(evaluate_join(inst, every))
+        batch = evaluate_join_batch(
+            inst,
+            np.array([order, order]),
+            np.array([none.checkpoint, every.checkpoint]),
+        )
+        assert batch[0] == math.inf and math.isfinite(batch[1])
+
+    def test_heuristics_return_instead_of_raising(self):
+        inst = join_from_dag(overflow_dag(), rate=0.5, C=40.0, R=40.0)
+        value, schedule = local_search_join(inst)
+        assert math.isfinite(value) and value == evaluate_join(inst, schedule)
+        assert threshold_join(inst)[0] > 0.0
+        value, _ = exhaustive_join(inst, optimize_order=True)
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("method", ["hill_climb", "anneal", "hybrid"])
+    def test_search_order_finds_a_finite_schedule(self, method):
+        result = search_order(overflow_dag(), OVERFLOW_PLATFORM, method=method)
+        inst = result.solution.instance
+        assert math.isfinite(result.expected_time)
+        assert result.expected_time == evaluate_join(
+            inst, result.solution.join_schedule
+        )
+
+    def test_no_finite_state_is_a_typed_error(self):
+        with pytest.raises(SolverError, match="finite expected makespan"):
+            search_order(overflow_dag(), SATURATED_PLATFORM)
+
+    def test_engine_answers_or_refuses_with_a_typed_error(self):
+        engine = Engine(cache_entries=8)
+        request = {
+            "generator": {
+                "kind": "join", "seed": 1, "sources": 5, "weights": "lognormal"
+            },
+            "platform": OVERFLOW_PLATFORM.as_dict(),
+            "strategy": "search",
+            "restarts": 1,
+        }
+        doc = engine.handle("dag/optimize", request).document()
+        assert math.isfinite(doc["solution"]["expected_time"])
+        request["platform"] = SATURATED_PLATFORM.as_dict()
+        with pytest.raises(SolverError):
+            engine.handle("dag/optimize", request)
+
+
+# ----------------------------------------------------------------------
+# the screened join round against the exact scan it replaces
+# ----------------------------------------------------------------------
+class TestMoveTable:
+    def test_rows_follow_join_neighborhood_order(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 31):
+            table = join_moves(n)
+            assert table.shape == (n * n, n) and not table.flags.writeable
+            state = random_join_state(rng, n)
+            _, materialise = JoinObjective(
+                JoinInstance((1.0,) * n, 1.0, 1e-3, 1.0, 1.0)
+            ).screen_neighbours(state)
+            for k, cand in enumerate(join_neighborhood(state)):
+                assert cand.order == tuple(state.order[p] for p in table[k])
+                assert materialise(k) == cand
+
+
+@st.composite
+def join_instance(draw):
+    """Small instances with degenerate parameters, exact duplicate
+    weights and near-ties inside ``RELATIVE_TOLERANCE``."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pool = draw(st.lists(st.floats(0.5, 200.0), min_size=1, max_size=4))
+    nudges = st.sampled_from([0.0, 0.0, 1e-14, -2e-14, 3e-13])
+    weights = tuple(
+        draw(st.sampled_from(pool)) * (1.0 + draw(nudges)) for _ in range(n)
+    )
+    sink = draw(st.sampled_from(pool))
+    rate = draw(st.sampled_from([0.0, 1e-5, 1e-3, 2e-2, 1.0]))
+    C = draw(st.sampled_from([0.0, 0.0, 5.0, 40.0]))
+    R = draw(st.sampled_from([0.0, 0.0, 5.0, 40.0]))
+    return JoinInstance(weights, sink, rate, C, R)
+
+
+class TestScreenedRound:
+    @given(inst=join_instance(), seed=st.integers(0, 2**31))
+    @settings(max_examples=150, deadline=None)
+    def test_round_matches_the_exact_scan(self, inst, seed):
+        state = random_join_state(np.random.default_rng(seed), inst.n_sources)
+        exact = ExactJoinSpace(inst)
+        value, _ = exact.evaluate(state)
+        rng = np.random.default_rng(0)
+        want = _steepest_round(exact, state, value, None, rng, None)
+        got = _steepest_round(JoinObjective(inst), state, value, None, rng, None)
+        assert got[0] == want[0]  # every neighbour proposed
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert got[1][0] == want[1][0]
+            assert float(got[1][1]).hex() == float(want[1][1]).hex()
+
+    @given(inst=join_instance(), seed=st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_climb_matches_the_exact_climb(self, inst, seed):
+        state = random_join_state(np.random.default_rng(seed), inst.n_sources)
+        want = climb(ExactJoinSpace(inst), state, np.random.default_rng(0))
+        got = climb(JoinObjective(inst), state, np.random.default_rng(0))
+        assert (got.state, float(got.value).hex(), got.rounds) == (
+            want.state, float(want.value).hex(), want.rounds
+        )
+
+    @given(inst=join_instance(), seed=st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_approximate_values_stay_inside_the_margin(self, inst, seed):
+        state = random_join_state(np.random.default_rng(seed), inst.n_sources)
+        approx, _ = JoinObjective(inst).screen_neighbours(state)
+        exact = np.array([evaluate_join(inst, c) for c in join_neighborhood(state)])
+        finite = np.isfinite(exact)
+        assert np.array_equal(np.isfinite(approx), finite)  # both saturate
+        gap = np.abs(approx[finite] - exact[finite])
+        assert np.all(gap <= SCREEN_MARGIN * exact[finite])
+
+    def test_wide_join_is_priced_in_row_blocks(self):
+        # 181 sources: 32761 neighbours of 181 positions, past one block
+        rng = np.random.default_rng(3)
+        inst = JoinInstance(
+            tuple(rng.uniform(1.0, 50.0, 181)), 10.0, 1e-4, 5.0, 5.0
+        )
+        state = random_join_state(rng, inst.n_sources)
+        approx, _ = JoinObjective(inst).screen_neighbours(state)
+        sample = set(rng.choice(len(approx), 200, replace=False).tolist())
+        for k, cand in enumerate(join_neighborhood(state)):
+            if k in sample:
+                exact = evaluate_join(inst, cand)
+                assert abs(approx[k] - exact) <= SCREEN_MARGIN * exact

@@ -146,8 +146,28 @@ GOLDEN = json.loads(
 )
 
 
+JOIN_STATE_COUNTERS = (
+    "search.join.evaluations", "search.join.hits",
+    "search.join.screened", "search.join.confirmed",
+)
+
+
+def screens_join_rounds(name: str) -> bool:
+    return name.startswith("join-") and "-anneal-" not in name
+
+
+def fold_join_scoring(counters: dict) -> dict:
+    """Replace the join state counters by ``orders_scored``: evaluations
+    + hits + screened - confirmed (each state scored once, exactly or
+    in batch)."""
+    counters = dict(counters)
+    e, h, s, c = (counters.pop(k, 0) for k in JOIN_STATE_COUNTERS)
+    counters["orders_scored"] = e + h + s - c
+    return counters
+
+
 def expected(name: str) -> dict:
-    """The recorded fingerprint with the three deliberate deltas applied."""
+    """The recorded fingerprint with the four deliberate deltas applied."""
     if name in GOLDEN["moved"]:
         # (b) p=2 anneal/hybrid walks accept on ``delta <= 0`` with the
         # ``max(T, 1e-300)`` floor, like the chain and join walks
@@ -157,6 +177,11 @@ def expected(name: str) -> dict:
         # (a) p=2 ``rounds`` no longer counts each climb's final,
         # non-improving round
         golden["rounds"] = golden["counters"]["search.moves.accepted"]
+    if screens_join_rounds(name):
+        # (d) a join climb round screens its neighbourhood in one array
+        # pass and prices exactly only the states that could win, so the
+        # evaluations/hits split moves; the states scored do not
+        golden["counters"] = fold_join_scoring(golden["counters"])
     return golden
 
 
@@ -167,6 +192,12 @@ def test_golden(name):
         # (c) the join search now emits the shared kernel's events
         new = {k: got["events"].pop(k, 0) for k in ("search.round", "search.best")}
         assert new["search.best" if "-anneal-" in name else "search.round"] > 0
+    if screens_join_rounds(name):
+        # (d) as in ``expected``; the screen skips most exact pricing
+        counters = got["counters"]
+        assert 0 < counters["search.join.confirmed"] < counters["search.join.screened"]
+        assert counters["search.join.screened"] <= counters["search.moves.proposed"]
+        got["counters"] = fold_join_scoring(counters)
     assert got == expected(name)
 
 

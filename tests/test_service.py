@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import SCHEMA_VERSION, canonical_hash
 from repro.exceptions import InvalidParameterError
+from repro.platforms import Platform
 from repro.service import ContentCache, Engine, JobQueue, make_server
 
 # ----------------------------------------------------------------------
@@ -378,6 +379,26 @@ class TestHttp:
         err = json.loads(_post(server, "/solve", {"bogus": 1})[2])
         assert err["kind"] == "error"
         assert err["status"] == 400
+
+    def test_join_overflow_is_answered_or_refused_never_a_500(self, server):
+        # λ_f = 0.5: some join states overflow e^(λV), the best does not;
+        # λ_f = 2: every state overflows, a typed 400
+        request = {
+            "generator": {
+                "kind": "join", "seed": 1, "sources": 5, "weights": "lognormal"
+            },
+            "strategy": "search",
+            "restarts": 1,
+        }
+        for lf, want in ((0.5, 200), (2.0, 400)):
+            platform = Platform.from_costs(
+                "overflow", lf=lf, ls=1e-6, CD=40.0, CM=8.0, r=0.8
+            )
+            status, _, body = _post(
+                server, "/dag/optimize", {**request, "platform": platform.as_dict()}
+            )
+            assert status == want, body
+        assert "finite expected makespan" in json.loads(body)["error"]
 
     def test_cache_clear(self, server):
         _post(server, "/solve", dict(SOLVE))
