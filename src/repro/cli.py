@@ -22,7 +22,10 @@ Usage (also available as ``python -m repro``)::
     repro report --fast                          # paper-vs-measured claims
 
 Every subcommand accepts ``--json`` to dump machine-readable output instead
-of the text rendering.
+of the text rendering.  ``solve``, ``simulate`` and ``dag optimize`` are
+thin adapters over :mod:`repro.service.engine`: their flags become the
+request an HTTP client sends to ``repro serve``, and ``--json`` prints
+the body the service answers it with.
 """
 
 from __future__ import annotations
@@ -31,22 +34,30 @@ import argparse
 import cProfile
 import io
 import json
-import math
 import pstats
 import sys
+from pathlib import Path
 
 from . import __version__
 from .analysis import format_table, line_chart, placement_diagram
-from .api import SCHEMA_VERSION, as_document
+from .api import SCHEMA_VERSION
 from .analysis.sweep import sweep_task_counts
-from .chains import PAPER_TOTAL_WEIGHT, PATTERNS, load_chain, make_chain
-from .core import Schedule, evaluate_schedule, optimize
-from .core.solver import canonical_algorithm
+from .chains import PAPER_TOTAL_WEIGHT, PATTERNS, load_chain
+from .core import Schedule, evaluate_schedule
 from .exceptions import InvalidParameterError, ReproError
 from .experiments import ALGORITHM_LABELS, fig5, fig6, fig78, table1
 from .obs import configure_logging, get_logger
 from .platforms import PLATFORMS, TABLE1_ROWS, get_platform
-from .simulation import run_monte_carlo
+from .service.engine import (
+    FIELDS,
+    Outcome,
+    execute,
+    generator_knobs,
+    normalise,
+    render,
+    workflow,
+)
+from .simulation import get_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -118,25 +129,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="load the task chain from a JSON file instead of a pattern",
     )
-
-
-def _make_chain(args: argparse.Namespace):
-    if args.chain_file:
-        return load_chain(args.chain_file)
-    return make_chain(args.pattern, args.tasks, args.total_weight)
-
-
-def _finite_or_none(value: float) -> float | None:
-    """JSON-safe float: RFC 8259 has no Infinity/NaN tokens, so degenerate
-    CI bounds (single-replication campaigns) serialize as null."""
-    return value if math.isfinite(value) else None
-
-
-def _resolved_backend(spec) -> str:
-    """The backend name a campaign actually ran on (for --json echo)."""
-    from .simulation import get_backend
-
-    return get_backend(spec).name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,23 +498,22 @@ def _cmd_platforms(args) -> str:
 
 
 def _cmd_solve(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
-    solution = optimize(chain, platform, algorithm=args.algorithm)
+    outcome = _run("solve", args)
     if args.json:
-        # the unified document is a strict superset of the historical
-        # solve keys (algorithm/platform/chain/... keep their shapes)
-        return json.dumps(as_document(solution), indent=2)
+        return render(outcome.document)
+    solution = outcome.result
     out = solution.summary() + "\n" + placement_diagram(solution.schedule)
     if args.breakdown:
-        evaluation = evaluate_schedule(chain, platform, solution.schedule)
-        out += "\n" + evaluation.render_breakdown(chain)
+        evaluation = evaluate_schedule(
+            solution.chain, solution.platform, solution.schedule
+        )
+        out += "\n" + evaluation.render_breakdown(solution.chain)
     return out
 
 
 def _cmd_evaluate(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
+    instance = normalise("solve", endpoint_request("solve", args)).content
+    chain, platform = instance["chain"], instance["platform"]
     schedule = Schedule.from_string(args.schedule)
     evaluation = evaluate_schedule(chain, platform, schedule)
     if args.json:
@@ -548,64 +539,24 @@ def _cmd_evaluate(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
-    if args.schedule:
-        schedule = Schedule.from_string(args.schedule)
-        analytic = evaluate_schedule(chain, platform, schedule).expected_time
-        label = f"schedule {schedule.to_string()}"
-    else:
-        solution = optimize(chain, platform, algorithm=args.algorithm)
-        schedule = solution.schedule
-        analytic = solution.expected_time
-        label = f"optimal {canonical_algorithm(args.algorithm)} schedule"
-    mc_kwargs = {}
-    if args.chunk_size is not None:
-        mc_kwargs["chunk_size"] = args.chunk_size
-    if args.runs is not None:
-        runs = args.runs
-    elif args.target_ci is not None:
-        # same default cap as `repro sweep --target-ci`: let the
-        # orchestrator converge, don't silently stop at the fixed-N 1000
-        from .simulation import DEFAULT_MAX_RUNS
-
-        runs = DEFAULT_MAX_RUNS
-    else:
-        runs = 1000
-    mc = run_monte_carlo(
-        chain,
-        platform,
-        schedule,
-        runs=runs,
-        seed=args.seed,
-        analytic=analytic,
-        engine=args.engine,
-        n_jobs=args.jobs,
-        target_ci=args.target_ci,
-        backend=args.backend,
-        **mc_kwargs,
-    )
+    outcome = _run("simulate", args, n_jobs=args.jobs, chunk_size=args.chunk_size)
     if args.json:
-        # unified monte_carlo_result document plus the CLI's historical
-        # context keys (platform name, schedule string, seed, engine)
-        doc = as_document(mc)
-        doc.update(
-            platform=platform.name,
-            schedule=schedule.to_string(),
-            seed=args.seed,
-            engine=args.engine,
-            analytic=analytic,
-        )
-        return json.dumps(doc, indent=2)
+        return render(outcome.document)
+    c, mc = outcome.request.content, outcome.result
+    label = (
+        f"schedule {outcome.document['schedule']}"
+        if c["schedule"]
+        else f"optimal {c['algorithm']} schedule"
+    )
     mode = (
-        f"{args.engine} engine"
-        if args.target_ci is None
-        else f"adaptive, target ±{args.target_ci:.2%}"
+        f"{c['engine']} engine"
+        if c["target_ci"] is None
+        else f"adaptive, target ±{c['target_ci']:.2%}"
     )
     if mc.backend != "numpy":
         mode += f", {mc.backend} backend"
     return (
-        f"simulating {label} on {platform.name} ({mode})\n"
+        f"simulating {label} on {c['platform'].name} ({mode})\n"
         + mc.report(show_breakdown=not args.no_breakdown)
     )
 
@@ -616,8 +567,6 @@ def _cmd_sweep(args) -> str:
     grid = sorted(set([1] + list(range(args.step, args.max_n + 1, args.step))))
     validated = bool(args.validate_runs) or args.target_ci is not None
     if args.backend is not None:
-        from .simulation import get_backend
-
         get_backend(args.backend)  # diagnose typos/missing installs up front
         if not validated:
             raise InvalidParameterError(
@@ -658,8 +607,6 @@ def _cmd_sweep(args) -> str:
             "header": sweep.header(),
         }
         if validated:
-            from .simulation import get_backend
-
             doc["backend"] = get_backend(args.backend).name
             doc["validated_cells"] = sweep.validated_cells
             doc["all_cells_agree"] = sweep.all_cells_agree
@@ -686,62 +633,50 @@ def _cmd_sweep(args) -> str:
     return "\n\n".join(out)
 
 
-_DAG_SHAPE_KNOBS = (
-    "weights",
-    "mean",
-    "spread",
-    "cost_spread",
-    "cost_weights",
-    "tasks",
-    "layers",
-    "density",
-    "branches",
-    "branch_length",
-    "arity",
-    "rows",
-    "cols",
-    "sources",
-)
-
-
-def _make_dag(args):
-    import inspect
-
-    from .dag import WorkflowDAG, generate
-    from .dag.generate import GENERATORS
-
-    if args.dag_file:
-        from pathlib import Path
-
-        try:
-            document = json.loads(Path(args.dag_file).read_text())
-        except OSError as exc:
-            raise InvalidParameterError(
-                f"cannot read workflow file {args.dag_file!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(
-                f"workflow file {args.dag_file!r} is not valid JSON: {exc}"
-            ) from exc
-        return WorkflowDAG.from_dict(document)
-    kwargs = {
-        knob: getattr(args, knob)
-        for knob in _DAG_SHAPE_KNOBS
-        if getattr(args, knob) is not None
-    }
-    accepted = inspect.signature(GENERATORS[args.kind]).parameters
-    unknown = sorted(set(kwargs) - set(accepted))
-    if unknown:
+def _workflow_request(args: argparse.Namespace) -> dict:
+    """``--dag-file`` as a ``dag`` document, else the generator flags."""
+    if not args.dag_file:
+        knobs = {
+            knob: value
+            for knob, value in vars(args).items()
+            if knob in generator_knobs() and value is not None
+        }
+        return {"generator": {"kind": args.kind, "seed": args.seed, **knobs}}
+    try:
+        return {"dag": json.loads(Path(args.dag_file).read_text())}
+    except OSError as exc:
         raise InvalidParameterError(
-            f"workflow family {args.kind!r} does not accept "
-            f"{', '.join('--' + k.replace('_', '-') for k in unknown)} "
-            f"(it takes {', '.join(sorted(set(accepted) - {'seed', 'name'}))})"
-        )
-    return generate(args.kind, seed=args.seed, **kwargs)
+            f"cannot read workflow file {args.dag_file!r}: {exc}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(
+            f"workflow file {args.dag_file!r} is not valid JSON: {exc}"
+        ) from exc
+
+
+def endpoint_request(endpoint: str, args: argparse.Namespace) -> dict:
+    """The request an HTTP client would send for these flags: every flag
+    named like a request field, plus the chain or DAG the flags name."""
+    request = {
+        name: getattr(args, name)
+        for name in FIELDS[endpoint]
+        if getattr(args, name, None) is not None
+    }
+    if endpoint == "dag/optimize":
+        request.update(_workflow_request(args), estimate=not args.no_estimate)
+    elif args.chain_file:
+        chain = load_chain(args.chain_file)
+        request.update(weights=chain.as_list(), chain=chain.name)
+    return request
+
+
+def _run(endpoint: str, args: argparse.Namespace, **run_options) -> Outcome:
+    request = normalise(endpoint, endpoint_request(endpoint, args))
+    return execute(request, **run_options)
 
 
 def _cmd_dag_generate(args) -> str:
-    dag = _make_dag(args)
+    dag, _ = workflow(**_workflow_request(args))
     doc = dag.as_dict()
     # provenance: meaningless for file-loaded DAGs (the flags didn't
     # produce the workflow), so both fields are nulled together.  NB:
@@ -754,8 +689,6 @@ def _cmd_dag_generate(args) -> str:
         seed=None if args.dag_file else args.seed,
     )
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     if args.json:
         return json.dumps(doc, indent=2)
@@ -779,298 +712,38 @@ def _cmd_dag_generate(args) -> str:
 
 
 def _cmd_dag_optimize(args) -> str:
-    from .dag import optimize_dag
-
-    dag = _make_dag(args)
-    platform = get_platform(args.platform)
-    if not args.certify and args.processors is None:
-        # With --processors these flags configure the adaptive makespan
-        # estimate instead (see _dag_optimize_parallel).
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--backend", args.backend is not None),
-                ("--target-ci", args.target_ci != 0.01),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} configure the Monte-Carlo "
-                f"certification campaign; enable it with --certify"
-            )
-    if args.processors is None and args.no_estimate:
-        raise InvalidParameterError(
-            "--no-estimate skips the parallel plan's adaptive makespan "
-            "estimate; it requires --processors"
-        )
-    if args.processors is not None:
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--strategy", args.strategy != "auto"),
-                ("--recombine", args.recombine != 2),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} only affect the single-processor "
-                f"serialisation; --processors {args.processors} always "
-                f"runs the parallel (assignment, order) search"
-            )
-        if args.certify:
-            raise InvalidParameterError(
-                "--certify stamps serialized chain schedules; estimate a "
-                "parallel plan's makespan with "
-                "repro.simulation.simulate_parallel on solution.plan() "
-                "(see repro.experiments.parallel_speedup)"
-            )
-        return _dag_optimize_parallel(dag, platform, args)
-    if args.strategy != "search":
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--method", args.method != "hill_climb"),
-                ("--restarts", args.restarts != 2),
-                ("--iterations", args.iterations != 400),
-                ("--jobs", args.jobs is not None),
-                ("--recombine", args.recombine != 2),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} only affect the metaheuristic "
-                f"search; add --strategy search (got --strategy "
-                f"{args.strategy})"
-            )
-    search_result = None
-    certificate = None
-    if args.strategy == "search":
-        from .dag import search_order
-        from .dag.search import uses_join_objective
-
-        if uses_join_objective(dag):
-            ignored = [
-                flag
-                for flag, is_set in (
-                    ("--jobs", args.jobs is not None),
-                    ("--recombine", args.recombine != 2),
-                )
-                if is_set
-            ]
-            if ignored:
-                raise InvalidParameterError(
-                    f"{', '.join(ignored)} do not apply to the join "
-                    f"objective ({dag.name!r} is join-shaped: states are "
-                    f"evaluated exactly in-process, with no recombination)"
-                )
-
-        search_result = search_order(
-            dag,
-            platform,
-            algorithm=args.algorithm,
-            method=args.method,
-            seed=args.seed,
-            restarts=args.restarts,
-            iterations=args.iterations,
-            certify=args.certify,
-            backend=args.backend,
-            target_ci=args.target_ci,
-            n_jobs=args.jobs,
-            recombine=args.recombine,
-        )
-        solution = search_result.solution
-        certificate = search_result.certificate
-    else:
-        solution = optimize_dag(
-            dag,
-            platform,
-            algorithm=args.algorithm,
-            strategy=args.strategy,
-            seed=args.seed,
-        )
-        if args.certify:  # stamp fixed-strategy winners too
-            from .experiments.common import certify_solution
-
-            _, chain = dag.serialise(solution.order)
-            certificate = certify_solution(
-                chain,
-                platform,
-                solution,
-                label=f"{dag.name} {args.strategy} order",
-                seed=args.seed,
-                backend=args.backend,
-                target_ci=args.target_ci,
-                costs=dag.cost_profile(solution.order, platform),
-            )
+    outcome = _run("dag/optimize", args, n_jobs=args.jobs)
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dag_optimize",
-            "platform": platform.name,
-            "dag": dag.name,
-            "n": dag.n,
-            "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
-            if args.certify
-            else None,
-            "strategy": args.strategy,
-            "algorithm": solution.algorithm,
-            "order": [str(v) for v in solution.order],
-            "expected_time": solution.expected_time,
-            "normalized_makespan": solution.normalized_makespan,
-            "schedule": solution.schedule.as_dict(),
-        }
-        if search_result is not None:
-            doc["search"] = {
-                "method": search_result.method,
-                "starts": search_result.starts,
-                "orders_scored": search_result.orders_scored,
-                "exact_evaluations": search_result.exact_evaluations,
-                "bound_evaluations": search_result.bound_evaluations,
-                "cache_hits": search_result.exact_cache_hits
-                + search_result.bound_cache_hits,
-                "n_jobs": search_result.n_jobs,
-                "recombined": search_result.recombined,
-                "objective": search_result.algorithm,
-            }
-        decisions = getattr(solution, "decisions", None)
-        if decisions is not None:  # join-shaped DAG: forever-vulnerable model
-            from .dag import canonical_node_key
-
-            doc["join"] = {
-                "checkpointed_sources": sorted(
-                    (str(v) for v, d in decisions.items() if d),
-                    key=canonical_node_key,
-                ),
-                "rate": solution.instance.rate,
-                "C": solution.instance.C,
-                "R": solution.instance.R,
-            }
-        if certificate is not None:
-            # unified agreement_stamp document (superset of the
-            # historical simulated/relative_gap/... keys)
-            doc["certificate"] = as_document(certificate)
-        return json.dumps(doc, indent=2)
+        return render(outcome.document)
+    c, result = outcome.request.content, outcome.result
+    where = f"workflow {c['dag'].name} on {c['platform'].name}"
+    if c["processors"] is not None:
+        out = [
+            f"{where} (processors {c['processors']}, seed {c['seed']})",
+            result.solution.describe(),
+            result.summary(),
+        ]
+        estimate = outcome.stamp
+        if estimate is not None:
+            status = "converged" if estimate.converged else "cap reached"
+            out.append(
+                f"  estimated E[makespan] = {estimate.mean:.2f}s "
+                f"(±{estimate.relative_half_width:.2%}, "
+                f"{estimate.reps_used} reps, {status}; "
+                f"surrogate gap {estimate.relative_gap:+.2%})"
+            )
+        return "\n".join(out)
+    solution = getattr(result, "solution", result)  # search or fixed order
     out = [
-        f"workflow {dag.name} on {platform.name} (strategy {args.strategy}, "
-        f"seed {args.seed})",
+        f"{where} (strategy {c['strategy']}, seed {c['seed']})",
         solution.summary(),
         "  order: " + " -> ".join(str(v) for v in solution.order),
     ]
-    if search_result is not None:
-        out.append(search_result.summary())
-    elif certificate is not None:
-        out.append(certificate.line())
+    if solution is not result:
+        out.append(result.summary())
+    elif outcome.stamp is not None:
+        out.append(outcome.stamp.line())
     return "\n".join(out)
-
-
-def _dag_optimize_parallel(dag, platform, args) -> str:
-    from .dag import canonical_node_key, search_parallel
-
-    if args.no_estimate:
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--backend", args.backend is not None),
-                ("--target-ci", args.target_ci != 0.01),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} configure the adaptive makespan "
-                f"estimate; drop --no-estimate to use them"
-            )
-    result = search_parallel(
-        dag,
-        platform,
-        args.processors,
-        algorithm=args.algorithm,
-        method=args.method,
-        seed=args.seed,
-        restarts=args.restarts,
-        iterations=args.iterations,
-        n_jobs=args.jobs,
-    )
-    solution = result.solution
-    estimate = None
-    if not args.no_estimate:
-        # Default-on adaptive Monte-Carlo estimate of the winning plan's
-        # wall-clock makespan (the analytic value is a surrogate: the
-        # epoch fold swaps E and max, so simulation is the ground truth).
-        from .simulation import run_adaptive_parallel
-
-        estimate = run_adaptive_parallel(
-            solution.plan(),
-            platform,
-            target_relative_ci=args.target_ci,
-            seed=args.seed,
-            backend=args.backend,
-            analytic=solution.expected_time,
-        )
-    if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dag_optimize_parallel",
-            "platform": platform.name,
-            "dag": dag.name,
-            "n": dag.n,
-            "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
-            if estimate is not None
-            else None,
-            "processors": args.processors,
-            "algorithm": solution.algorithm,
-            "order": [str(v) for v in solution.order],
-            "assignment": {
-                str(v): solution.assignment[v]
-                for v in sorted(solution.assignment, key=canonical_node_key)
-            },
-            "expected_time": solution.expected_time,
-            "worker_busy": list(solution.worker_busy),
-            "search": {
-                "method": result.method,
-                "starts": result.starts,
-                "rounds": result.rounds,
-                "states_priced": result.states_priced,
-                "state_cache_hits": result.state_cache_hits,
-                "interval_solves": result.interval_solves,
-                "interval_cache_hits": result.interval_cache_hits,
-                "n_jobs": result.n_jobs,
-            },
-        }
-        if estimate is not None:
-            doc["estimate"] = {
-                "mean": estimate.mean,
-                "relative_half_width": _finite_or_none(
-                    estimate.relative_half_width
-                ),
-                "target_ci": estimate.target_relative_ci,
-                "reps": estimate.reps_used,
-                "rounds": len(estimate.rounds),
-                "converged": estimate.converged,
-                "surrogate_gap": _finite_or_none(estimate.relative_gap),
-            }
-        return json.dumps(doc, indent=2)
-    out = [
-        f"workflow {dag.name} on {platform.name} "
-        f"(processors {args.processors}, seed {args.seed})",
-        solution.describe(),
-        result.summary(),
-    ]
-    if estimate is not None:
-        status = "converged" if estimate.converged else "cap reached"
-        out.append(
-            f"  estimated E[makespan] = {estimate.mean:.2f}s "
-            f"(±{estimate.relative_half_width:.2%}, "
-            f"{estimate.reps_used} reps, {status}; "
-            f"surrogate gap {estimate.relative_gap:+.2%})"
-        )
-    return "\n".join(out)
-
 
 def _cmd_dag_sweep(args) -> str:
     from .experiments import dag_search
@@ -1091,7 +764,7 @@ def _cmd_dag_sweep(args) -> str:
             "schema_version": SCHEMA_VERSION,
             "kind": "dag_sweep",
             "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
+            "backend": get_backend(args.backend).name
             if not args.no_certify
             else None,
         }
@@ -1140,8 +813,6 @@ def _cmd_report(args) -> str:
 
     text = generate_report(fast=args.fast)
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(text + "\n")
     return text
 
@@ -1281,10 +952,7 @@ def main(argv: list[str] | None = None) -> int:
             print(_run_instrumented(handlers[args.command], args, command))
         else:
             print(handlers[args.command](args))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (ReproError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -5,8 +5,10 @@ The package splits into four layers, each usable on its own:
 - :mod:`.cache` — :class:`ContentCache`, the thread-safe LRU every
   expensive artefact (rendered responses, exact-DP memos) lives in,
   keyed by :func:`repro.api.canonical_hash` content addresses.
-- :mod:`.engine` — :class:`Engine`, the session-spanning implementation
-  of the ``solve`` / ``simulate`` / ``dag/optimize`` endpoints with
+- :mod:`.engine` — the one implementation of the ``solve`` /
+  ``simulate`` / ``dag/optimize`` endpoints (:func:`~.engine.normalise`
+  a request, then :func:`~.engine.execute` it; the CLI runs the same
+  two steps), and :class:`Engine`, which wraps them in the cache,
   per-request thread-local instrumentation and a cumulative mergeable
   metrics pool.
 - :mod:`.jobs` — :class:`JobQueue`, worker threads draining queued

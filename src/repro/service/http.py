@@ -11,7 +11,8 @@ Routes (see ``docs/API.md`` for the full reference)::
     GET  /metrics              merged metrics + cache + job stats
     GET  /cache                cache stats
     POST /cache/clear          drop every cached artefact
-    POST /solve                synchronous endpoints mirroring the CLI;
+    POST /solve                synchronous endpoints, one code path with
+                               their CLI twins (repro solve, ...);
     POST /simulate             responses carry X-Repro-Cache (hit|miss)
     POST /dag/optimize         and X-Repro-Key (the content address)
     POST /jobs                 {"endpoint": ..., "request": {...}} -> 202

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api import SCHEMA_VERSION
 from repro.cli import main
 
 
@@ -140,8 +141,8 @@ class TestSimulate:
             "--json",
         )
         doc = json.loads(out)
-        assert doc["runs"] == 20
-        assert len(doc["ci"]) == 2
+        assert doc["reps"] == 20
+        assert doc["ci_low"] < doc["ci_high"]
         assert doc["breakdown"]["work"] > 0.0
         assert "convergence" not in doc
         assert doc["backend"] == "numpy"
@@ -196,7 +197,7 @@ class TestSimulate:
         assert code == 0
         assert "Infinity" not in out
         doc = json.loads(out)
-        assert doc["ci"] == [None, None]
+        assert doc["ci_low"] is None and doc["ci_high"] is None
         assert doc["agrees"] is False
 
     def test_simulate_single_run_adaptive_json_is_strict_rfc8259(self, capsys):
@@ -280,7 +281,7 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["convergence"]["converged"] is True
         assert doc["convergence"]["relative_half_width"] <= 0.02
-        assert doc["runs"] == doc["convergence"]["reps_used"]
+        assert doc["reps"] == doc["convergence"]["reps"]
 
 
 class TestSweepCommand:
@@ -458,9 +459,12 @@ class TestDagCommand:
         doc = json.loads(out)
         assert doc["seed"] == 5
         assert doc["strategy"] == "search"
-        assert len(doc["order"]) == 7
-        assert doc["search"]["orders_scored"] > 0
-        assert doc["expected_time"] > 0
+        assert doc["generator"] == {
+            "kind": "layered", "seed": 5, "layers": 3, "tasks": 7,
+        }
+        assert len(doc["solution"]["order"]) == 7
+        assert doc["orders_scored"] > 0
+        assert doc["solution"]["expected_time"] > 0
 
     def test_optimize_search_certified_json(self, capsys):
         code, out, _ = run_cli(
@@ -494,10 +498,11 @@ class TestDagCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["processors"] == 2
-        assert len(doc["order"]) == len(doc["assignment"]) == 6
-        assert set(doc["assignment"].values()) <= {0, 1}
-        assert doc["search"]["states_priced"] > 0
-        assert len(doc["worker_busy"]) == 2
+        plan = doc["solution"]
+        assert len(plan["order"]) == len(plan["assignment"]) == 6
+        assert set(plan["assignment"].values()) <= {0, 1}
+        assert doc["states_priced"] > 0
+        assert len(plan["worker_busy"]) == 2
 
     def test_optimize_processors_rejects_serial_flags(self, capsys):
         code, _, err = run_cli(
@@ -576,6 +581,7 @@ class TestDagCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["dag"] == "forkjoin-2x1"
+        assert doc["generator"] is None
         assert len(doc["order"]) == 4
 
     def test_optimize_wide_dag_all_fails_cleanly(self, capsys):
@@ -612,7 +618,7 @@ class TestDagCommand:
         )
         assert code == 0
         assert json.loads(out) == {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "kind": "dag_sweep",
             "backend": "numpy",
             "seed": 6,
@@ -693,9 +699,9 @@ class TestSeedThreading:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["search"]["objective"] == "join"
-        assert "checkpointed_sources" in doc["join"]
-        assert doc["join"]["C"] > 0
+        assert doc["objective"] == "join"
+        assert "checkpointed_sources" in doc["solution"]["join"]
+        assert doc["solution"]["join"]["C"] > 0
 
     def test_optimize_search_accepts_jobs_and_recombine(self, capsys):
         code, out, _ = run_cli(
@@ -705,7 +711,7 @@ class TestSeedThreading:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["search"]["recombined"] == 1
+        assert doc["recombined"] == 1
 
     def test_jobs_requires_search_strategy(self, capsys):
         code, _, err = run_cli(
@@ -715,13 +721,23 @@ class TestSeedThreading:
         assert code == 2
         assert "--jobs" in err and "search" in err
 
-    def test_jobs_rejected_for_join_objective(self, capsys):
-        code, _, err = run_cli(
-            capsys, "dag", "optimize", "--kind", "join", "--sources", "4",
-            "--strategy", "search", "--jobs", "2",
+    def test_jobs_accepted_for_join_objective(self, capsys):
+        # join searches shard their start climbs over n_jobs like chain
+        # searches; --recombine stays rejected (the join path has none)
+        argv = (
+            "dag", "optimize", "--kind", "join", "--sources", "4",
+            "--strategy", "search", "--json",
         )
+        code, serial, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, sharded, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        serial, sharded = json.loads(serial), json.loads(sharded)
+        assert sharded["n_jobs"] == 2
+        assert sharded["solution"] == serial["solution"]
+        code, _, err = run_cli(capsys, *argv, "--recombine", "1")
         assert code == 2
-        assert "join objective" in err
+        assert "join objective" in err and "--recombine" in err
 
     def test_optimize_hetero_fixed_strategy_certified(self, capsys):
         # regression: the fixed-strategy certify path must price the

@@ -17,11 +17,14 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import SCHEMA_VERSION, canonical_hash
 from repro.exceptions import InvalidParameterError
 from repro.platforms import Platform
 from repro.service import ContentCache, Engine, JobQueue, make_server
+from repro.service.engine import FIELDS
 
 # ----------------------------------------------------------------------
 # HTTP helpers
@@ -311,7 +314,7 @@ class TestHttp:
         assert doc["kind"] == "monte_carlo_result"
         assert doc["seed"] == 9
         assert doc["backend"] == "numpy"
-        assert doc["reps"] == doc["runs"] == 200
+        assert doc["reps"] == 200
 
     def test_dag_optimize(self, server):
         _, _, body = _post(
@@ -442,6 +445,100 @@ class TestHttp:
             ]
         )
         assert headers["X-Repro-Key"] == expected
+
+
+#: (route, body, words the error must contain): malformed or
+#: self-contradicting bodies, each a typed 400 on every route
+MALFORMED = [
+    ("/dag/optimize", {"generator": {"kind": "layered", "bogus": 1}},
+     ("does not accept bogus", "it takes", "tasks")),
+    ("/dag/optimize", {"generator": "layered"}, ("'generator'", "object")),
+    ("/dag/optimize", {"generator": {"kind": 3}}, ("'kind'", "string")),
+    ("/dag/optimize", {"generator": {"kind": "layered", "tasks": "abc"}},
+     ("malformed",)),
+    ("/dag/optimize", {"generator": {"kind": "nope"}}, ("workflow kind",)),
+    ("/dag/optimize", {"dag": {"tasks": {}}}, ("workflow document",)),
+    ("/dag/optimize", {"dag": {}, "generator": {}}, ("not both",)),
+    ("/dag/optimize", {"certify": True, "processors": 2},
+     ("certify", "simulate_parallel")),
+    ("/dag/optimize", {"backend": "numpy"}, ("backend", "certify")),
+    ("/dag/optimize", {"target_ci": 0.05}, ("target_ci", "certify")),
+    ("/dag/optimize", {"restarts": 5, "method": "anneal"},
+     ("restarts", "method", "strategy 'search'")),
+    ("/dag/optimize", {"processors": 2, "strategy": "search"},
+     ("strategy", "parallel")),
+    ("/dag/optimize", {"processors": 2, "recombine": 0}, ("recombine",)),
+    ("/dag/optimize", {"estimate": False}, ("estimate", "processors")),
+    ("/dag/optimize",
+     {"processors": 2, "estimate": False, "backend": "numpy"},
+     ("backend", "estimate")),
+    ("/dag/optimize",
+     {"generator": {"kind": "join", "sources": 4}, "strategy": "search",
+      "recombine": 1},
+     ("recombine", "join objective")),
+    ("/solve", {"tasks": "abc"}, ("'tasks'", "integer")),
+    ("/solve", {"tasks": 12.0}, ("'tasks'", "integer")),
+    ("/solve", {"tasks": True}, ("'tasks'", "integer")),
+    ("/solve", {"weights": "abc"}, ("'weights'", "list")),
+    ("/solve", {"weights": ["a", "b"]}, ("malformed",)),
+    ("/solve", {"platform": {"name": "x", "lf": "y"}}, ("malformed",)),
+    ("/solve", {"platform": None}, ("'platform'",)),
+    ("/simulate", {"runs": "many"}, ("'runs'", "integer")),
+    ("/simulate", {"seed": [1]}, ("'seed'", "integer")),
+    ("/simulate", {"target_ci": "tight"}, ("'target_ci'", "number")),
+]
+
+
+#: JSON value strategies by Python type
+JSON_VALUES = {
+    str: st.text(max_size=8),
+    list: st.lists(st.integers(), max_size=3),
+    dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    bool: st.booleans(),
+    int: st.integers(-(2**40), 2**40),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    type(None): st.none(),
+}
+
+
+def _post_error(server, route, body):
+    status, _, raw = _post(server, route, body)
+    doc = json.loads(raw)
+    assert doc["kind"] == "error" and doc["status"] == status
+    return status, doc["error"]
+
+
+class TestMalformedRequests:
+    """Every malformed body is a typed 400 on the synchronous routes and
+    at ``/jobs`` submission, never a 500 or a failed job."""
+
+    @pytest.mark.parametrize(
+        "route,body,words", MALFORMED, ids=[str(b) for _, b, _ in MALFORMED]
+    )
+    def test_typed_400(self, server, route, body, words):
+        status, error = _post_error(server, route, body)
+        assert status == 400, error
+        for word in words:
+            assert word in error
+        job = {"endpoint": route.lstrip("/"), "request": body}
+        assert _post_error(server, "/jobs", job) == (status, error)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_wrong_typed_fields_are_400(self, server, data):
+        endpoint = data.draw(st.sampled_from(sorted(FIELDS)))
+        name = data.draw(st.sampled_from(sorted(FIELDS[endpoint])))
+        default, types = FIELDS[endpoint][name]
+        accepted = set(types) | ({int} if float in types else set())
+        kinds = [
+            kind
+            for kind in JSON_VALUES
+            if kind not in accepted and not (kind is type(None) and default is None)
+        ]
+        value = data.draw(st.sampled_from(kinds).flatmap(JSON_VALUES.__getitem__))
+        status, error = _post_error(server, f"/{endpoint}", {name: value})
+        assert status == 400, (endpoint, name, value, error)
+        assert repr(name) in error
 
 
 class TestConcurrentClients:
